@@ -424,7 +424,7 @@ let engine_bench () =
      machine-independent and guarded against bench/engine_baseline.json
      (regenerate with `dune exec bench/main.exe -- --tables-only` and
      copy the "digest" field). Half the routines get a symbolic outer
-     bound so both adaptive-dispatch regimes occur in the mix. *)
+     bound so the Banerjee evaluator's symbolic tier occurs in the mix. *)
   let shard_routines = 1000 in
   let shard_progs =
     let st = Random.State.make [| 0xD09; shard_routines |] in
@@ -455,10 +455,6 @@ let engine_bench () =
       progs
       (Deptest.Analyze.run_all cfg progs);
     Buffer.contents buf
-  in
-  let shard_digest ~jobs ~dispatch =
-    let cfg = Deptest.Analyze.Config.make ~jobs ~dispatch ~cache:false () in
-    Digest.to_hex (Digest.string (render_all cfg shard_progs))
   in
   let shard_setting jobs =
     (* one instrumented pass for the digest and the per-worker
@@ -491,14 +487,6 @@ let engine_bench () =
   let shard_identical =
     List.for_all (fun (_, d, _, _, _) -> d = shard_digest0) shard_runs
   in
-  (* dispatch is an engine knob, never a semantic one: forcing either
-     evaluator must reproduce the auto digest *)
-  let max_jobs = List.fold_left max 1 jobs in
-  let dispatch_parity =
-    List.for_all
-      (fun d -> shard_digest ~jobs:max_jobs ~dispatch:d = shard_digest0)
-      [ Deptest.Banerjee.Reference; Deptest.Banerjee.Incremental ]
-  in
   Printf.printf
     "\n== engine: sharded corpus (%d generated routines, min of %d) ==\n"
     shard_routines repeat;
@@ -522,8 +510,6 @@ let engine_bench () =
     shard_runs;
   Printf.printf "  output digest identical across jobs settings: %b\n"
     shard_identical;
-  Printf.printf "  forced reference/incremental reproduce the auto digest: %b\n"
-    dispatch_parity;
   let baseline_digest =
     if Sys.file_exists "bench/engine_baseline.json" then
       match Dt_obs.Json.of_string (read_file "bench/engine_baseline.json") with
@@ -544,83 +530,6 @@ let engine_bench () =
         Printf.printf "  digest vs bench/engine_baseline.json: %s\n"
           (if b = shard_digest0 then "match" else "MISMATCH");
         Some (b = shard_digest0)
-  in
-  (* dispatch calibration: ns/query for each evaluator across the nest
-     shapes the [Banerjee.select] threshold discriminates on (depth x
-     symbolic bounds). The printed table is the evidence behind the
-     depth>=3-or-symbolic cutover. *)
-  (* every iteration gets a structurally distinct pair (fresh additive
-     constant), so the incremental evaluator pays its kernel compilation
-     each time — exactly the shape the analyzer sees, where each new
-     reference pair compiles once *)
-  let calib_iters = 200 in
-  let calib_queries depth ~symbolic =
-    let ixs =
-      List.init depth (fun k ->
-          Index.make (Printf.sprintf "X%d" k) ~depth:k)
-    in
-    let loops =
-      List.mapi
-        (fun k i ->
-          let hi =
-            if symbolic && k = 0 then Affine.of_sym "N" else Affine.const 8
-          in
-          Loop.make i ~lo:(Affine.const 1) ~hi)
-        ixs
-    in
-    let assume = Deptest.Assume.add_loop_facts Deptest.Assume.empty loops in
-    let range = Deptest.Range.compute loops in
-    let sum =
-      List.fold_left (fun acc i -> Affine.add acc (av i)) Affine.zero ixs
-    in
-    let mk_pairs () =
-      Array.init calib_iters (fun k ->
-          [ Spair.make sum (Affine.add_const (-1 - k) sum) ])
-    in
-    (assume, range, mk_pairs, ixs)
-  in
-  let time_eval ~dispatch (assume, range, mk_pairs, ixs) =
-    let best = ref Int64.max_int in
-    for _ = 1 to repeat do
-      (* fresh pairs each repeat: the per-pair kernel cache starts cold,
-         so every repeat pays compilation like a fresh reference pair *)
-      let pairs = mk_pairs () in
-      let t0 = Dt_obs.Metrics.now_ns () in
-      Array.iter
-        (fun ps ->
-          ignore (Deptest.Banerjee.vectors ~dispatch assume range ps
-                    ~indices:ixs))
-        pairs;
-      let t1 = Dt_obs.Metrics.now_ns () in
-      let dt = Int64.sub t1 t0 in
-      if Int64.compare dt !best < 0 then best := dt
-    done;
-    Int64.to_float !best /. float_of_int calib_iters
-  in
-  let calib_cells =
-    [ (1, false); (2, false); (2, true); (3, false); (3, true) ]
-  in
-  Printf.printf "\n== engine: dispatch calibration (ns/query, min of %d) ==\n"
-    repeat;
-  let calib_rows =
-    List.map
-      (fun (depth, symbolic) ->
-        let q = calib_queries depth ~symbolic in
-        let inc = time_eval ~dispatch:Deptest.Banerjee.Incremental q in
-        let refl = time_eval ~dispatch:Deptest.Banerjee.Reference q in
-        let symbols = if symbolic then 1 else 0 in
-        let auto =
-          match Deptest.Banerjee.select ~depth ~symbols with
-          | Deptest.Banerjee.Incremental -> "incremental"
-          | Deptest.Banerjee.Reference -> "reference"
-          | Deptest.Banerjee.Auto -> "auto"
-        in
-        Printf.printf
-          "  depth=%d symbolic=%-5b incremental %8.0f   reference %8.0f   \
-           auto->%s\n"
-          depth symbolic inc refl auto;
-        (depth, symbols, inc, refl, auto))
-      calib_cells
   in
   let cores = Dt_support.Pool.recommended_jobs () in
   if cores = 1 then
@@ -647,8 +556,7 @@ let engine_bench () =
         ("cache_hit_rate", Dt_obs.Json.Float overall_hit_rate);
         ( "identical_output",
           Dt_obs.Json.Bool
-            (identical && synth_identical && shard_identical && dispatch_parity)
-        );
+            (identical && synth_identical && shard_identical) );
         ( "sharded",
           Dt_obs.Json.Obj
             [
@@ -659,7 +567,6 @@ let engine_bench () =
                 match baseline_match with
                 | None -> Dt_obs.Json.Null
                 | Some b -> Dt_obs.Json.Bool b );
-              ("dispatch_parity", Dt_obs.Json.Bool dispatch_parity);
               ( "runs",
                 Dt_obs.Json.List
                   (List.map
@@ -690,19 +597,6 @@ let engine_bench () =
                          ])
                      shard_runs) );
             ] );
-        ( "calibration",
-          Dt_obs.Json.List
-            (List.map
-               (fun (depth, symbols, inc, refl, auto) ->
-                 Dt_obs.Json.Obj
-                   [
-                     ("depth", Dt_obs.Json.Int depth);
-                     ("symbols", Dt_obs.Json.Int symbols);
-                     ("incremental_ns", Dt_obs.Json.Float inc);
-                     ("reference_ns", Dt_obs.Json.Float refl);
-                     ("auto", Dt_obs.Json.String auto);
-                   ])
-               calib_rows) );
         ( "synthetic",
           Dt_obs.Json.Obj
             [
@@ -740,11 +634,9 @@ let engine_bench () =
   Dt_obs.Artifact.write_atomic "BENCH_engine.json"
     (Dt_obs.Json.to_string json ^ "\n");
   print_endline "engine benchmark written to BENCH_engine.json";
-  if not (identical && synth_identical && shard_identical && dispatch_parity)
-  then begin
+  if not (identical && synth_identical && shard_identical) then begin
     prerr_endline
-      "bench: FATAL: analysis output differs across jobs/cache/dispatch \
-       settings";
+      "bench: FATAL: analysis output differs across jobs/cache settings";
     exit 1
   end;
   if baseline_match = Some false then begin

@@ -9,8 +9,6 @@ module Config = struct
     include_inputs : bool;
     assume : Assume.t;
     jobs : int;  (* 0 = auto *)
-    grain : int;  (* splitting leaf size, 0 = auto *)
-    dispatch : Banerjee.dispatch;
     cache : Pair_cache.t option;
     metrics : Dt_obs.Metrics.t option;
     sink : Dt_obs.Trace.sink option;
@@ -20,16 +18,13 @@ module Config = struct
   }
 
   let make ?(strategy = Pair_test.Partition_based) ?(include_inputs = false)
-      ?(assume = Assume.empty) ?(jobs = 0) ?(grain = 0)
-      ?(dispatch = Banerjee.Auto) ?(cache = true) ?cache_capacity ?disk
-      ?metrics ?sink ?profiler ?budget ?deadline_ms () =
+      ?(assume = Assume.empty) ?(jobs = 0) ?(cache = true) ?cache_capacity
+      ?disk ?metrics ?sink ?profiler ?budget ?deadline_ms () =
     {
       strategy;
       include_inputs;
       assume;
       jobs;
-      grain;
-      dispatch;
       cache =
         (if cache then
            Some (Pair_cache.create ?capacity:cache_capacity ?disk ())
@@ -42,28 +37,13 @@ module Config = struct
     }
 
   let default = make ()
-  let with_strategy strategy t = { t with strategy }
-  let with_include_inputs include_inputs t = { t with include_inputs }
-  let with_assume assume t = { t with assume }
-  let with_jobs jobs t = { t with jobs }
-  let with_grain grain t = { t with grain }
-  let with_dispatch dispatch t = { t with dispatch }
-
-  let with_cache on t =
-    { t with cache = (if on then Some (Pair_cache.create ()) else None) }
-
-  let with_metrics metrics t = { t with metrics }
-  let with_sink sink t = { t with sink }
   let with_profiler profiler t = { t with profiler }
-  let with_budget budget t = { t with budget }
   let with_deadline_ms deadline_ms t = { t with deadline_ms }
   let profiler t = t.profiler
   let strategy t = t.strategy
   let include_inputs t = t.include_inputs
   let assume t = t.assume
   let jobs t = t.jobs
-  let grain t = t.grain
-  let dispatch t = t.dispatch
   let budget t = t.budget
   let deadline_ms t = t.deadline_ms
   let cache_enabled t = t.cache <> None
@@ -176,13 +156,11 @@ let strategy_tag = function
   | Pair_test.Subscript_by_subscript -> "S"
 
 (* per-worker accumulators, merged deterministically (in worker-id
-   order) after the parallel loop; [scratch] is the worker's Banerjee
-   arena — reused across every pair the worker tests, never shared *)
+   order) after the parallel loop *)
 type worker = {
   counters : Counters.t;
   metrics : Dt_obs.Metrics.t option;
   spans : Dt_obs.Span.t option;
-  scratch : Banerjee.Scratch.t;
 }
 
 (* minimum number of reference pairs before [run] fans out to worker
@@ -213,7 +191,6 @@ type tctx = {
   cfacts : string;  (* assume-facts digest of the cache key, "" if no cache *)
   ctag : string;
   cfuel : int option;
-  cdispatch : Banerjee.dispatch;
   csink : Dt_obs.Trace.sink option;
   cdeadline : int64 option;
 }
@@ -233,7 +210,6 @@ let ctx_of (cfg : Config.t) ~deadline_ns =
       | None -> "");
     ctag = strategy_tag cfg.Config.strategy;
     cfuel = cfg.Config.budget;
-    cdispatch = cfg.Config.dispatch;
     csink = cfg.Config.sink;
     cdeadline = deadline_ns;
   }
@@ -310,8 +286,7 @@ let test_one ctx (w : worker) ~counters site =
             match ctx.ccache with
             | None ->
                 Pair_test.test ~counters ?metrics:w.metrics ?sink:ctx.csink
-                  ?spans:w.spans ?budget ~dispatch:ctx.cdispatch
-                  ~scratch:w.scratch ~strategy:ctx.cstrategy
+                  ?spans:w.spans ?budget ~strategy:ctx.cstrategy
                   ~assume:ctx.cassume
                   ~src:(a1.Stmt.aref, loops1)
                   ~snk:(a2.Stmt.aref, loops2)
@@ -343,7 +318,6 @@ let test_one ctx (w : worker) ~counters site =
                     let r =
                       Pair_test.test ~counters:local ?metrics:w.metrics
                         ?sink:ctx.csink ?spans:w.spans ?budget
-                        ~dispatch:ctx.cdispatch ~scratch:w.scratch
                         ~strategy:ctx.cstrategy ~assume:ctx.cassume
                         ~src:(a1.Stmt.aref, loops1)
                         ~snk:(a2.Stmt.aref, loops2)
@@ -450,8 +424,8 @@ let make_probe (wres : worker array) ~instrumented =
   end
 
 (* one per-worker state per pool slot; each gets its own counters,
-   metrics registry (merged afterwards in worker-id order), span buffer
-   (domain = worker id) and Banerjee arena *)
+   metrics registry (merged afterwards in worker-id order) and span
+   buffer (domain = worker id) *)
 let make_workers ~njobs ~metrics ~profiler =
   Array.init njobs (fun w ->
       let wm = Option.map (fun _ -> Dt_obs.Metrics.create ()) metrics in
@@ -462,7 +436,6 @@ let make_workers ~njobs ~metrics ~profiler =
         counters = Counters.create ();
         metrics = wm;
         spans = Option.map (fun p -> Dt_obs.Span.buffer p ~domain:w) profiler;
-        scratch = Banerjee.Scratch.create ();
       })
 
 let merge_workers ~metrics workers =
@@ -573,7 +546,7 @@ let orient ?buf (sites : site array) (results : Pair_test.t option array) =
   { deps = List.rev !deps; pairs = List.rev !pairs; counters = Counters.create () }
 
 let run (cfg : Config.t) prog =
-  let { Config.include_inputs; jobs; grain; cache; metrics; sink; profiler;
+  let { Config.include_inputs; jobs; cache; metrics; sink; profiler;
         deadline_ms; _ } =
     cfg
   in
@@ -631,7 +604,7 @@ let run (cfg : Config.t) prog =
           Some (widen_site ?metrics:w.metrics sites.(i) (degrade_reason e))
   in
   let pool =
-    Dt_support.Pool.create ~jobs:pjobs ~grain
+    Dt_support.Pool.create ~jobs:pjobs
       ~hooks:(Dt_support.Pool.hooks ~probe ~on_error ())
       ()
   in
@@ -675,7 +648,7 @@ let analyze_seq ctx (w : worker) ~include_inputs prog =
   { r with counters }
 
 let run_all (cfg : Config.t) progs =
-  let { Config.include_inputs; jobs; grain; cache; metrics; sink; profiler;
+  let { Config.include_inputs; jobs; cache; metrics; sink; profiler;
         deadline_ms; _ } =
     cfg
   in
@@ -716,7 +689,7 @@ let run_all (cfg : Config.t) progs =
        overflow, a fault in the observability path) aborts the batch and
        re-raises — the same propagation [List.map run] would give *)
     let pool =
-      Dt_support.Pool.create ~jobs:pjobs ~grain
+      Dt_support.Pool.create ~jobs:pjobs
         ~hooks:(Dt_support.Pool.hooks ~probe ())
         ()
     in

@@ -51,82 +51,6 @@ let max_combos = 4096
 let use_reference = ref false
 
 (* ------------------------------------------------------------------ *)
-(* evaluator dispatch *)
-
-type dispatch = Auto | Incremental | Reference
-
-(* Threshold calibrated by the bench's dispatch section: the compiled
-   evaluator amortizes its per-pair state build over the hierarchy DFS,
-   whose node count grows with 4^depth — at depth >= 3 it wins by orders
-   of magnitude, while on depth-1/2 constant-bound pairs the from-scratch
-   evaluator's lack of setup cost makes it marginally faster. Symbolic
-   terms tip the balance earlier: every vertex proof goes through the
-   sign oracle, and the compiled path dedups and memoizes those. *)
-let select ~depth ~symbols =
-  if depth >= 3 || (depth >= 2 && symbols > 0) then Incremental else Reference
-
-(* distinct symbols mentioned by the pairs' difference constants and the
-   relevant range endpoints — the "symbol count" axis of [select] *)
-let count_symbols range pairs ~indices =
-  let syms =
-    List.fold_left
-      (fun acc i ->
-        let r = Range.find range i in
-        let acc =
-          match r.Range.lo with
-          | Some e -> List.rev_append (Affine.syms e) acc
-          | None -> acc
-        in
-        match r.Range.hi with
-        | Some e -> List.rev_append (Affine.syms e) acc
-        | None -> acc)
-      (List.concat_map (fun p -> Affine.syms (Spair.diff_const p)) pairs)
-      indices
-  in
-  List.length (List.sort_uniq String.compare syms)
-
-(* ------------------------------------------------------------------ *)
-(* per-worker scratch arena: the compiled evaluator's per-pair state
-   needs a proof memo table, a sum accumulator and four bound-compilation
-   buffers per occurring index. Renting them from a per-domain arena
-   replaces those per-pair allocations with pointer swaps once the arena
-   is warm; the arena is single-domain by construction (each engine
-   worker owns one), so no synchronization. *)
-
-module Scratch = struct
-  type t = {
-    mutable tables : (Linform.vec, bool * bool) Hashtbl.t list;
-    mutable vecs : Linform.vec list;  (* free list, mixed lengths *)
-  }
-
-  let create () = { tables = []; vecs = [] }
-
-  let rent_table t =
-    match t.tables with
-    | tbl :: rest ->
-        t.tables <- rest;
-        Hashtbl.reset tbl;
-        tbl
-    | [] -> Hashtbl.create 64
-
-  let return_table t tbl = t.tables <- tbl :: t.tables
-
-  (* first free vector of the right length; universes within one pair
-     share a length, so the scan terminates in a step or two *)
-  let rent_vec t len =
-    let rec go acc = function
-      | v :: rest when Array.length v = len ->
-          t.vecs <- List.rev_append acc rest;
-          v
-      | v :: rest -> go (v :: acc) rest
-      | [] -> Array.make len 0
-    in
-    go [] t.vecs
-
-  let return_vec t v = t.vecs <- v :: t.vecs
-end
-
-(* ------------------------------------------------------------------ *)
 (* Reference implementation: the pre-kernel evaluator that recombines
    the full vertex cross product at every query. Kept verbatim as the
    byte-identity oracle for the compiled evaluator (tests, bench) and
@@ -311,7 +235,7 @@ let mk_vinfo ~a ~b ~lov ~hiv ~lo1v ~him1v code =
       }
     else { count; vecs; cmin = 0; cmax = 0; const_only }
 
-let build_state ?metrics ?scratch range (p : Spair.t) =
+let build_state ?metrics range (p : Spair.t) =
   let kp = Spair.kernel p in
   (match metrics with
   | Some m -> Dt_obs.Metrics.banerjee_compile m
@@ -331,39 +255,17 @@ let build_state ?metrics ?scratch range (p : Spair.t) =
       Option.iter add_syms hi)
     bounds;
   let u = Linform.universe !syms in
-  let vlen = Linform.universe_size u + 1 in
-  let rent () =
-    match scratch with
-    | Some s -> Scratch.rent_vec s vlen
-    | None -> Array.make vlen 0
-  in
-  let return_v v =
-    match scratch with Some s -> Scratch.return_vec s v | None -> ()
-  in
   let unbounded = ref false in
   let vert =
     Array.mapi
       (fun k bnd ->
         match bnd with
         | Some lo, Some hi ->
-            (* the four bound vectors are pure compilation temporaries:
-               [mk_vinfo] derives fresh corner vectors from them, so they
-               go straight back to the arena *)
-            let lov = rent () and hiv = rent () in
-            Linform.compile_into u lo lov;
-            Linform.compile_into u hi hiv;
-            let lo1v = rent () and him1v = rent () in
-            Array.blit lov 0 lo1v 0 vlen;
-            Array.blit hiv 0 him1v 0 vlen;
-            Linform.add_const_into 1 lo1v;
-            Linform.add_const_into (-1) him1v;
+            let lov = Linform.compile u lo and hiv = Linform.compile u hi in
+            let lo1v = Linform.add_const_vec 1 lov
+            and him1v = Linform.add_const_vec (-1) hiv in
             let a = kp.Linform.a.(k) and b = kp.Linform.b.(k) in
-            let tbl = Array.init 4 (mk_vinfo ~a ~b ~lov ~hiv ~lo1v ~him1v) in
-            return_v lov;
-            return_v hiv;
-            return_v lo1v;
-            return_v him1v;
-            tbl
+            Array.init 4 (mk_vinfo ~a ~b ~lov ~hiv ~lo1v ~him1v)
         | _ ->
             unbounded := true;
             [||])
@@ -381,11 +283,8 @@ let build_state ?metrics ?scratch range (p : Spair.t) =
       hi_sum = 0;
       n_sym = 0;
       combos = 1;
-      scratch = rent ();
-      prove_memo =
-        (match scratch with
-        | Some s -> Scratch.rent_table s
-        | None -> Hashtbl.create 64);
+      scratch = Linform.zero_vec u;
+      prove_memo = Hashtbl.create 64;
     }
   in
   Array.iter
@@ -504,32 +403,11 @@ let eval_state ?metrics ?sink ?budget ~from_scratch assume st =
     c >= st.lo_sum && c <= st.hi_sum
   else symbolic_feasible assume st
 
-(* hand a state's rented buffers back to the arena (no-op without one) *)
-let release_state scratch st =
-  match scratch with
-  | None -> ()
-  | Some s ->
-      Scratch.return_vec s st.scratch;
-      Scratch.return_table s st.prove_memo
-
-(* [Auto] resolution: the [use_reference] global (the test/bench
-   byte-identity hook) still forces the from-scratch evaluator; otherwise
-   the nest-shape heuristic decides. An explicit dispatch always wins. *)
-let wants_reference dispatch ~depth ~symbols =
-  match dispatch with
-  | Reference -> true
-  | Incremental -> false
-  | Auto -> !use_reference || select ~depth ~symbols:(symbols ()) = Reference
-
-let feasible ?(dispatch = Auto) ?scratch ?metrics ?sink ?budget assume range
-    (p : Spair.t) ~dirs =
-  let depth = List.length dirs in
-  let symbols () = count_symbols range [ p ] ~indices:(List.map fst dirs) in
-  if wants_reference dispatch ~depth ~symbols then
+let feasible ?metrics ?sink ?budget assume range (p : Spair.t) ~dirs =
+  if !use_reference then
     Reference.feasible ?metrics ?budget assume range p ~dirs
   else begin
-    let st = build_state ?metrics ?scratch range p in
-    Fun.protect ~finally:(fun () -> release_state scratch st) @@ fun () ->
+    let st = build_state ?metrics range p in
     (* the first binding of an index wins, as List.find_opt did *)
     let seen = ref [] in
     List.iter
@@ -544,28 +422,21 @@ let feasible ?(dispatch = Auto) ?scratch ?metrics ?sink ?budget assume range
     eval_state ?metrics ?sink ?budget ~from_scratch:true assume st
   end
 
-let vectors ?(dispatch = Auto) ?scratch ?metrics ?sink ?spans ?budget assume
-    range pairs ~indices =
+let vectors ?metrics ?sink ?spans ?budget assume range pairs ~indices =
   Dt_obs.Span.with_ spans Dt_obs.Span.Banerjee @@ fun () ->
-  let depth = List.length indices in
-  let symbols () = count_symbols range pairs ~indices in
-  if wants_reference dispatch ~depth ~symbols then
+  if !use_reference then
     Reference.vectors ?metrics ?budget assume range pairs ~indices
   else begin
     let states =
       List.map
         (fun p ->
-          let st = build_state ?metrics ?scratch range p in
+          let st = build_state ?metrics range p in
           let slots =
             Array.of_list (List.map (Linform.slot st.kp) indices)
           in
           (st, slots))
         pairs
     in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter (fun (st, _) -> release_state scratch st) states)
-    @@ fun () ->
     let idxs = Array.of_list indices in
     let n = Array.length idxs in
     (* region_nonempty depends only on (index, dir): memoize per call *)

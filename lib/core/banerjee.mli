@@ -19,40 +19,15 @@
     per pair, each index's vertex set is compiled once per direction into
     flat {!Dt_ir.Linform} vectors, and refining one index swaps its
     contribution in and out of running bound sums instead of recombining
-    the whole cross product (DESIGN.md §8). The verdicts are byte-identical
-    to the from-scratch evaluator, which is kept as {!Reference}. *)
+    the whole cross product (DESIGN.md §8). This compiled evaluator is
+    the only one analysis runs. The verdicts are byte-identical to the
+    from-scratch evaluator, which is kept as {!Reference}: the oracle
+    the tests and the bench compare against, reachable through
+    {!use_reference}. *)
 
 open Dt_ir
 
-(** Which evaluator runs a query. [Auto] (the default everywhere) picks
-    per query from the nest shape via {!select} — unless the legacy
-    {!use_reference} hook forces the from-scratch path. The two
-    evaluators are byte-identical in verdicts {e and} in budget
-    consumption (same hierarchy-node count), so dispatch can never
-    change an analysis result — only its wall clock. *)
-type dispatch = Auto | Incremental | Reference
-
-val select : depth:int -> symbols:int -> dispatch
-(** The [Auto] heuristic, exposed for the bench's calibration section:
-    [Incremental] when [depth >= 3], or [depth >= 2] with symbolic
-    terms in play; [Reference] otherwise (never [Auto]). [depth] is the
-    hierarchy depth (indices refined), [symbols] the distinct symbols
-    across the pairs' difference constants and range endpoints. *)
-
-(** A per-worker scratch arena for the compiled evaluator: proof memo
-    tables and vertex/bound vectors are rented per pair and returned
-    when the query finishes, so a long testing loop stops allocating
-    once the arena is warm. Single-domain by design — the engine gives
-    each worker its own; never share one across domains. *)
-module Scratch : sig
-  type t
-
-  val create : unit -> t
-end
-
 val feasible :
-  ?dispatch:dispatch ->
-  ?scratch:Scratch.t ->
   ?metrics:Dt_obs.Metrics.t ->
   ?sink:Dt_obs.Trace.sink ->
   ?budget:Dt_guard.Budget.t ->
@@ -79,8 +54,6 @@ val region_nonempty :
     [false] is a proof of emptiness. *)
 
 val vectors :
-  ?dispatch:dispatch ->
-  ?scratch:Scratch.t ->
   ?metrics:Dt_obs.Metrics.t ->
   ?sink:Dt_obs.Trace.sink ->
   ?spans:Dt_obs.Span.t ->
@@ -95,10 +68,8 @@ val vectors :
     Returns the concrete legal vectors over [indices] (in the given
     order), or [`Independent] when none survive.
 
-    [dispatch] selects the evaluator (default [Auto]). On the
-    incremental compiled path: one kernel compilation per pair (counted
-    in [metrics]), then O(1) contribution swaps per hierarchy node, with
-    per-pair buffers rented from [scratch] when given. [sink] receives a
+    One kernel compilation per pair (counted in [metrics]), then O(1)
+    contribution swaps per hierarchy node. [sink] receives a
     note per combo-cap fallback; [spans] brackets the whole hierarchy
     walk as one {!Dt_obs.Span.Banerjee} timeline span. *)
 
@@ -114,7 +85,8 @@ val max_combos : int
 
 val use_reference : bool ref
 (** When set, {!feasible} and {!vectors} route to {!Reference}. Test and
-    bench hook for byte-identity comparison; defaults to [false]. *)
+    bench oracle hook for byte-identity comparison, and the only route
+    to {!Reference}; defaults to [false]. *)
 
 (** The pre-kernel, from-scratch evaluator: recombines every index's
     vertex contributions at each hierarchy node with persistent-map

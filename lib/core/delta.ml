@@ -161,8 +161,8 @@ let relation_infeasible loops assume ~ivar ~jvar ~e =
       else false)
     loops
 
-let test ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch ?trace
-    ?(loops = []) assume range pairs ~relevant =
+let test ?counters ?metrics ?sink ?spans ?budget ?trace ?(loops = []) assume
+    range pairs ~relevant =
   Dt_obs.Span.with_ spans Dt_obs.Span.Delta @@ fun () ->
   let instrumented = metrics <> None || spans <> None in
   let t_start = if instrumented then Dt_obs.Clock.now_ns () else 0L in
@@ -662,8 +662,8 @@ let test ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch ?trace
           in
           let t1 = tick () in
           match
-            Banerjee.vectors ?dispatch ?scratch ?metrics ?sink ?spans ?budget
-              assume range [ p ] ~indices
+            Banerjee.vectors ?metrics ?sink ?spans ?budget assume range
+              [ p ] ~indices
           with
           | `Independent as v ->
               record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:true;

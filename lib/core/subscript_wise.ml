@@ -1,7 +1,6 @@
 open Dt_ir
 
-let test ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch assume
-    range pairs ~common =
+let test ?counters ?metrics ?sink ?spans ?budget assume range pairs ~common =
   let instrumented = metrics <> None || spans <> None in
   let record ?(t0 = 0L) ?(span = true) k ~indep =
     (match counters with Some c -> Counters.record c k ~indep | None -> ());
@@ -44,8 +43,8 @@ let test ?counters ?metrics ?sink ?spans ?budget ?dispatch ?scratch assume
           in
           let t1 = tick () in
           match
-            Banerjee.vectors ?dispatch ?scratch ?metrics ?sink ?spans ?budget
-              assume range [ p ] ~indices
+            Banerjee.vectors ?metrics ?sink ?spans ?budget assume range
+              [ p ] ~indices
           with
           | `Independent as v ->
               record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:true;

@@ -1,4 +1,5 @@
 open Dt_ir
+module Ops = Dt_guard.Ops
 
 type constr = { coeffs : int array; bound : Affine.t }
 
@@ -17,6 +18,16 @@ let is_trivial c = Array.for_all (fun k -> k = 0) c.coeffs
 exception Infeasible
 exception Give_up
 
+(* [a' * x + a * y], overflow-checked. Operands below 2^30 in magnitude
+   cannot overflow (the result stays below 2^61), so the common case
+   stays inline in the elimination loop, the hottest loop of the Delta
+   test, instead of making three calls into [Ops]. *)
+let[@inline] small v = v > -0x4000_0000 && v < 0x4000_0000
+
+let[@inline] combine a' x a y =
+  if small a' && small x && small a && small y then (a' * x) + (a * y)
+  else Ops.add (Ops.mul a' x) (Ops.mul a y)
+
 let infeasible assume ~nvars cs =
   let contradictory c =
     (* 0 <= bound with bound provably negative *)
@@ -34,11 +45,11 @@ let infeasible assume ~nvars cs =
         (fun p ->
           List.map
             (fun n ->
-              let a = p.coeffs.(var) and a' = -n.coeffs.(var) in
+              let a = p.coeffs.(var) and a' = Ops.neg n.coeffs.(var) in
               {
                 coeffs =
                   Array.init nvars (fun v ->
-                      (a' * p.coeffs.(v)) + (a * n.coeffs.(v)));
+                      combine a' p.coeffs.(v) a n.coeffs.(v));
                 bound =
                   Affine.add (Affine.scale a' p.bound) (Affine.scale a n.bound);
               })

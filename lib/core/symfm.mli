@@ -28,7 +28,9 @@ val eq : int array -> Affine.t -> constr list
 (** An equality as two inequalities. *)
 
 val infeasible : Assume.t -> nvars:int -> constr list -> bool
-(** [true] proves there is no rational (hence no integer) solution. *)
+(** [true] proves there is no rational (hence no integer) solution.
+    @raise Dt_guard.Ops.Overflow when a combined coefficient or bound
+    leaves the native int range. *)
 
 val max_constraints : int
 (** Safety cap: elimination aborts (returning [false], i.e. "cannot

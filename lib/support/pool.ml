@@ -37,19 +37,13 @@ let default_hooks = { probe = no_probe; on_error = None }
 (* ranges are [lo, hi) so splitting is pure index arithmetic *)
 type 'w t = {
   pjobs : int;
-  pgrain : int;  (* 0 = auto per run *)
   hooks : 'w hooks;
   deques : (int * int) Deque.t array;  (* one per worker, reused *)
 }
 
-let create ?(jobs = 0) ?(grain = 0) ?(hooks = default_hooks) () =
+let create ?(jobs = 0) ?(hooks = default_hooks) () =
   let pjobs = if jobs <= 0 then recommended_jobs () else jobs in
-  {
-    pjobs;
-    pgrain = (if grain < 0 then 0 else grain);
-    hooks;
-    deques = Array.init pjobs (fun _ -> Deque.create ());
-  }
+  { pjobs; hooks; deques = Array.init pjobs (fun _ -> Deque.create ()) }
 
 let jobs t = t.pjobs
 
@@ -92,9 +86,7 @@ let run pool ~n ~state ~body =
     let workers = min pool.pjobs n in
     if workers <= 1 || n <= 1 then sequential ~probe ~run_body ~n ~state
     else begin
-      let grain =
-        if pool.pgrain >= 1 then pool.pgrain else auto_grain ~workers ~n
-      in
+      let grain = auto_grain ~workers ~n in
       let deques = pool.deques in
       (* seed one contiguous range per worker: deterministic initial
          shard, refined dynamically by splitting and stealing *)
@@ -218,8 +210,3 @@ let run pool ~n ~state ~body =
         failures;
       List.filter_map Fun.id states
     end
-
-let parallel_for ?(jobs = 0) ?chunk ?probe ?on_error ~n ~state ~body () =
-  let hooks = { probe = Option.value probe ~default:no_probe; on_error } in
-  let pool = create ~jobs ?grain:chunk ~hooks () in
-  run pool ~n ~state ~body

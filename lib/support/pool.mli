@@ -1,9 +1,9 @@
 (** A Domain-based work-stealing pool for embarrassingly parallel index
     loops.
 
-    A {!t} is a configuration handle: worker count, splitting grain and
-    {!hooks} fixed once at {!create}, plus one Chase–Lev deque per
-    worker ({!Deque}) that is reused across {!run} calls. Work is
+    A {!t} is a configuration handle: worker count and {!hooks} fixed
+    once at {!create}, plus one Chase–Lev deque per worker ({!Deque})
+    that is reused across {!run} calls. Work is
     distributed by {e lazy binary splitting}: [run ~n] seeds each
     worker's deque with one contiguous index range; a worker pops its
     own deque LIFO and, while the range in hand is larger than the
@@ -72,8 +72,7 @@ type 'w hooks = {
           re-raised with its backtrace. *)
 }
 (** The pool's one extension point: instrumentation and containment
-    bundled in a single record, replacing the former loose [?probe] /
-    [?on_error] arguments. *)
+    bundled in a single record. *)
 
 val hooks :
   ?probe:probe -> ?on_error:('w -> int -> exn -> unit) -> unit -> 'w hooks
@@ -86,12 +85,11 @@ type 'w t
 (** A pool handle; ['w] is the per-worker state type the hooks'
     [on_error] may touch. *)
 
-val create : ?jobs:int -> ?grain:int -> ?hooks:'w hooks -> unit -> 'w t
+val create : ?jobs:int -> ?hooks:'w hooks -> unit -> 'w t
 (** [jobs] is the worker count; [0] (the default) means
-    {!recommended_jobs}. [grain] is the leaf size of the lazy binary
-    split — ranges at most this long are executed without further
-    splitting; [0] (the default) picks [clamp (n / (workers * 8)) 1 64]
-    per run, the grain the chunked scheduler used. *)
+    {!recommended_jobs}. The grain — the leaf size of the lazy binary
+    split, below which a range runs without further splitting — is
+    [clamp (n / (workers * 8)) 1 64] per run. *)
 
 val jobs : _ t -> int
 (** The resolved worker count (never 0). *)
@@ -105,17 +103,3 @@ val run : 'w t -> n:int -> state:(int -> 'w) -> body:('w -> int -> unit) -> 'w l
     domain in index order — the sequential reference path. Otherwise
     [min jobs n] domains run, the calling domain being worker 0.
     A raising [state] call is always fatal. *)
-
-val parallel_for :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?probe:probe ->
-  ?on_error:('w -> int -> exn -> unit) ->
-  n:int ->
-  state:(int -> 'w) ->
-  body:('w -> int -> unit) ->
-  unit ->
-  'w list
-[@@ocaml.deprecated "use Pool.create and Pool.run with Pool.hooks"]
-(** Compatibility wrapper over {!create} + {!run} ([chunk] maps to
-    [grain]). One release only. *)

@@ -441,11 +441,12 @@ let test_run_all_matches_run () =
       check bool "same counters" true (Deptest.Counters.equal a.counters b.counters))
     seq sharded
 
-(* byte-parity over a generated thousand-routine corpus: every
-   jobs x dispatch setting must render the identical analysis, pairs
-   and counters included. Seeded generation, half the routines with a
-   symbolic outer bound so both adaptive-dispatch regimes occur. *)
-let test_corpus_jobs_dispatch_parity () =
+(* byte-parity over a generated thousand-routine corpus: every jobs
+   setting, on the compiled Banerjee evaluator and on the Reference
+   oracle, must render the identical analysis, pairs and counters
+   included. Seeded generation, half the routines with a symbolic outer
+   bound so the evaluator's symbolic tier occurs. *)
+let test_corpus_jobs_evaluator_parity () =
   let routines = 1000 in
   let progs =
     let st = Random.State.make [| 0xD09; routines |] in
@@ -459,8 +460,8 @@ let test_corpus_jobs_dispatch_parity () =
         in
         Dt_workloads.Generator.program st gcfg ~stmts:3)
   in
-  let render ~jobs ~dispatch =
-    let cfg = Deptest.Analyze.Config.make ~jobs ~dispatch ~cache:false () in
+  let render ~jobs ~reference =
+    let cfg = Deptest.Analyze.Config.make ~jobs ~cache:false () in
     let buf = Buffer.create (1 lsl 16) in
     List.iter
       (fun (r : Deptest.Analyze.result) ->
@@ -478,24 +479,25 @@ let test_corpus_jobs_dispatch_parity () =
         Buffer.add_string buf
           (Format.asprintf "%a@." Deptest.Counters.pp
              r.Deptest.Analyze.counters))
-      (Deptest.Analyze.run_all cfg progs);
+      (Fun.protect
+         ~finally:(fun () -> Deptest.Banerjee.use_reference := false)
+         (fun () ->
+           Deptest.Banerjee.use_reference := reference;
+           Deptest.Analyze.run_all cfg progs));
     Digest.string (Buffer.contents buf)
   in
-  let base = render ~jobs:1 ~dispatch:Deptest.Banerjee.Auto in
+  let base = render ~jobs:1 ~reference:false in
   List.iter
     (fun jobs ->
       List.iter
-        (fun (name, dispatch) ->
+        (fun (name, reference) ->
           check bool
-            (Printf.sprintf "jobs=%d dispatch=%s renders the jobs=1/auto bytes"
-               jobs name)
+            (Printf.sprintf
+               "jobs=%d evaluator=%s renders the jobs=1/compiled bytes" jobs
+               name)
             true
-            (render ~jobs ~dispatch = base))
-        [
-          ("auto", Deptest.Banerjee.Auto);
-          ("reference", Deptest.Banerjee.Reference);
-          ("incremental", Deptest.Banerjee.Incremental);
-        ])
+            (render ~jobs ~reference = base))
+        [ ("compiled", false); ("reference", true) ])
     [ 1; 2; 4 ]
 
 let suite =
@@ -526,6 +528,6 @@ let suite =
     Alcotest.test_case "metrics count cache traffic" `Quick
       test_analyze_metrics_cache_counts;
     Alcotest.test_case "run_all agrees with run" `Quick test_run_all_matches_run;
-    Alcotest.test_case "thousand-routine jobs x dispatch byte parity" `Slow
-      test_corpus_jobs_dispatch_parity;
+    Alcotest.test_case "thousand-routine jobs x evaluator byte parity" `Slow
+      test_corpus_jobs_evaluator_parity;
   ]

@@ -326,9 +326,8 @@ let battery () =
     Deptest.Pair_test.test ~src:(w, loops) ~snk:(r, loops) ()
   in
   let miv_deep () =
-    (* depth 3: [Auto] dispatch routes this query to the incremental
-       compiled evaluator, whose kernel compilation owns the
-       [linform.corner] site (the shallow [miv] goes to [Reference]) *)
+    (* depth 3: a deeper hierarchy walk on the compiled evaluator, whose
+       kernel compilation owns the [linform.corner] site *)
     let s = Affine.add (av i0) (Affine.add (av j1) (av k2)) in
     let w = Aref.linear "A" [ s ]
     and r = Aref.linear "A" [ Affine.add_const (-1) s ] in

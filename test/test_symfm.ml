@@ -25,7 +25,17 @@ let test_symfm_const () =
     (inf ~nvars:2
        (eq [ 1; -1 ] Affine.zero
        @ [ le [ 1; 0 ] (Affine.const 2); le [ 0; -1 ] (Affine.const (-4)) ]));
-  check Alcotest.bool "no constraints" false (inf ~nvars:3 [])
+  check Alcotest.bool "no constraints" false (inf ~nvars:3 []);
+  (* x = 0, y = -1 satisfies both; eliminating x doubles y's coefficient
+     past max_int, which must not wrap into a false contradiction *)
+  let wide = 1 lsl 61 in
+  check Alcotest.bool "coefficient overflow is never infeasible" false
+    (match
+       inf ~nvars:2
+         [ le [ 2; wide ] Affine.zero; le [ -2; wide ] (Affine.const (-1)) ]
+     with
+    | verdict -> verdict
+    | exception Dt_guard.Ops.Overflow -> false)
 
 let test_symfm_symbolic () =
   let inf = Deptest.Symfm.infeasible assume_n1 in
