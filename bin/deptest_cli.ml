@@ -216,9 +216,9 @@ let write_artifact path content =
     Printf.eprintf "cannot write %s: %s\n" path e;
     exit 2
 
-let make_profiler chrome flame =
-  if chrome <> None || flame <> None then
-    Some (Dt_obs.Span.profiler ~gc:true ())
+let make_profiler ?(explain = false) chrome flame =
+  if explain || chrome <> None || flame <> None then
+    Some (Dt_obs.Span.profiler ~gc:true ~explain ())
   else None
 
 let export_timeline chrome flame profiler =
@@ -252,10 +252,10 @@ let analyze_cmd =
   let run file strategy inputs bindings explain trace_file jobs no_cache
       strict budget deadline_ms chrome flame prom ledger
       ledger_window label =
-    let profiler = make_profiler chrome flame in
-    let trace_buf =
-      match trace_file with None -> None | Some _ -> Some (Buffer.create 4096)
-    in
+    (* one profiler per invocation: the explain steps and the timeline
+       share its buffers and its clock *)
+    let explaining = explain || trace_file <> None in
+    let profiler = make_profiler ~explain:explaining chrome flame in
     let degraded_total = ref 0 in
     (* --prom / --ledger observe the whole file as one run: a shared
        metrics registry across routines, plus §6 counters and pair
@@ -275,33 +275,28 @@ let analyze_cmd =
     in
     let many = List.length progs > 1 in
     routines := List.length progs;
-    let cfg ?sink () =
+    let cfg () =
       Deptest.Analyze.Config.make ~strategy ~include_inputs:inputs ~jobs
-        ~cache:(not no_cache) ?metrics ?sink ?profiler ?budget ?deadline_ms ()
+        ~cache:(not no_cache) ?metrics ?profiler ?budget ?deadline_ms ()
     in
-    let analyzed =
-      if explain || trace_buf <> None then
-        (* a trace is an ordered narrative: per-routine sink, which also
-           forces each routine to run sequentially *)
-        List.map
-          (fun prog ->
-            let sink = Some (Dt_obs.Trace.make ()) in
-            (prog, sink, Deptest.Analyze.run (cfg ?sink ()) prog))
-          progs
+    let results =
+      if explaining then
+        (* one [run] per routine, each with a fresh memo, so a routine's
+           explain text does not depend on the routines before it *)
+        List.map (fun prog -> Deptest.Analyze.run (cfg ()) prog) progs
       else
-        (* no ordering constraint: shard whole routines across the
-           work-stealing pool, sharing one memo cache across the file *)
-        let c = cfg () in
-        List.map2
-          (fun prog r -> (prog, None, r))
-          progs
-          (Deptest.Analyze.run_all c progs)
+        (* shard whole routines across the work-stealing pool, sharing
+           one memo cache across the file *)
+        Deptest.Analyze.run_all (cfg ()) progs
+    in
+    let spans =
+      if explaining then Dt_obs.Span.spans (Option.get profiler) else [||]
     in
     (* verdict text comes from Dt_serve.Render — the single rendering
        shared with the serve daemon, so `deptest analyze` and a daemon
        answer are byte-identical by construction *)
-    (analyzed
-    |> List.iter @@ fun (prog, sink, r) ->
+    (List.combine progs results
+    |> List.iteri @@ fun k (prog, r) ->
        print_string (Dt_serve.Render.header ~many prog.Dt_ir.Nest.name);
        if want_record then begin
        Deptest.Counters.merge_into agg_counters r.Deptest.Analyze.counters;
@@ -311,25 +306,21 @@ let analyze_cmd =
        agg_degr := !agg_degr + degr
      end;
      print_string (Dt_serve.Render.verdicts prog r);
-     (match sink with
-     | Some sk ->
-         if explain then begin
-           Format.printf "@.-- explain --@.%a" Dt_obs.Trace.pp_tree sk;
-           (* the surrounding text goes straight to the channel: push any
-              queued formatter output out so ordering is preserved *)
-           Format.print_flush ()
-         end;
-         (match trace_buf with
-         | Some b -> Buffer.add_string b (Dt_obs.Trace.to_jsonl sk)
-         | None -> ())
-     | None -> ());
+     if explain then begin
+       Format.printf "@.-- explain --@.%a"
+         (Dt_obs.Trace.pp_tree ~routine:k)
+         spans;
+       (* the surrounding text goes straight to the channel: push any
+          queued formatter output out so ordering is preserved *)
+       Format.print_flush ()
+     end;
      let warn, degraded = Dt_serve.Render.warnings r in
      degraded_total := !degraded_total + degraded;
      print_string warn;
      print_string (Dt_serve.Render.counters r));
-    (match (trace_file, trace_buf) with
-    | Some f, Some b -> write_artifact f (Buffer.contents b)
-    | _ -> ());
+    (match trace_file with
+    | Some f -> write_artifact f (Dt_obs.Trace.to_jsonl spans)
+    | None -> ());
     export_timeline chrome flame profiler;
     (match metrics with
     | None -> ()

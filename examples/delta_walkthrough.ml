@@ -1,5 +1,6 @@
 (* A traced walk through the Delta test (the paper's Figure 3) on the
-   worked examples from section 5.
+   worked examples from section 5: every step is recorded as an explain
+   event and printed as the `deptest analyze --explain` tree does.
 
    Run with:  dune exec examples/delta_walkthrough.exe *)
 
@@ -15,9 +16,10 @@ let walk ~title ~loops ~pairs =
       Index.Set.empty loops
   in
   List.iter (fun p -> Format.printf "subscript %a@." Spair.pp p) pairs;
-  let r =
-    Deptest.Delta.test ~trace:print_endline assume range pairs ~relevant
-  in
+  let profiler = Dt_obs.Span.profiler ~explain:true () in
+  let spans = Dt_obs.Span.buffer profiler ~domain:0 in
+  let r = Deptest.Delta.test ~spans assume range pairs ~relevant in
+  Dt_obs.Trace.pp_tree Format.std_formatter (Dt_obs.Span.spans profiler);
   (match r.Deptest.Delta.verdict with
   | `Independent -> print_endline "verdict: INDEPENDENT"
   | `Dependent parts ->

@@ -11,7 +11,6 @@ module Config = struct
     jobs : int;  (* 0 = auto *)
     cache : Pair_cache.t option;
     metrics : Dt_obs.Metrics.t option;
-    sink : Dt_obs.Trace.sink option;
     profiler : Dt_obs.Span.profiler option;
     budget : int option;  (* per-pair fuel, Banerjee nodes *)
     deadline_ms : int option;  (* wall-clock cap for the whole analysis *)
@@ -19,7 +18,7 @@ module Config = struct
 
   let make ?(strategy = Pair_test.Partition_based) ?(include_inputs = false)
       ?(assume = Assume.empty) ?(jobs = 0) ?(cache = true) ?cache_capacity
-      ?disk ?metrics ?sink ?profiler ?budget ?deadline_ms () =
+      ?disk ?metrics ?profiler ?budget ?deadline_ms () =
     {
       strategy;
       include_inputs;
@@ -30,7 +29,6 @@ module Config = struct
            Some (Pair_cache.create ?capacity:cache_capacity ?disk ())
          else None);
       metrics;
-      sink;
       profiler;
       budget;
       deadline_ms;
@@ -191,7 +189,6 @@ type tctx = {
   cfacts : string;  (* assume-facts digest of the cache key, "" if no cache *)
   ctag : string;
   cfuel : int option;
-  csink : Dt_obs.Trace.sink option;
   cdeadline : int64 option;
 }
 
@@ -210,7 +207,6 @@ let ctx_of (cfg : Config.t) ~deadline_ns =
       | None -> "");
     ctag = strategy_tag cfg.Config.strategy;
     cfuel = cfg.Config.budget;
-    csink = cfg.Config.sink;
     cdeadline = deadline_ns;
   }
 
@@ -245,29 +241,31 @@ let widen_site ?metrics site reason =
   | None -> ());
   r
 
-(* test one reference pair on worker [w], accumulating §6 counts into
-   [counters] ([w.counters] for a per-site run; a per-routine
+(* test reference pair number [i] on worker [w], accumulating §6 counts
+   into [counters] ([w.counters] for a per-site run; a per-routine
    accumulator under [run_all]'s sharding, where one worker analyzes
    many routines) *)
-let test_one ctx (w : worker) ~counters site =
+let test_one ctx (w : worker) ~counters i site =
   let { left = (a1 : Stmt.access), loops1;
         right = (a2 : Stmt.access), loops2;
         _ } =
     site
   in
+  let explaining = Dt_obs.Span.explaining w.spans in
   let emit ev =
-    match ctx.csink with Some sk -> Dt_obs.Trace.emit sk ev | None -> ()
+    if explaining then Dt_obs.Span.explain w.spans (Dt_obs.Trace.Step ev)
   in
-  let scoped f =
-    match ctx.csink with Some sk -> Dt_obs.Trace.scope sk f | None -> f ()
-  in
-  emit
-    (Dt_obs.Trace.Pair_start
-       {
-         array = a1.Stmt.aref.Aref.base;
-         src_stmt = a1.Stmt.stmt.Stmt.id;
-         snk_stmt = a2.Stmt.stmt.Stmt.id;
-       });
+  (* recorded before the Pair span opens: the pair's header line, one
+     level above its steps *)
+  if explaining then
+    emit
+      (Dt_obs.Trace.Pair_start
+         {
+           array = a1.Stmt.aref.Aref.base;
+           src_stmt = a1.Stmt.stmt.Stmt.id;
+           snk_stmt = a2.Stmt.stmt.Stmt.id;
+           site = i;
+         });
   if past_deadline ctx then begin
     (* over the wall-clock cap: the pair is not tested at all, only
        widened. Never cached — a later run with more time must retest. *)
@@ -281,74 +279,73 @@ let test_one ctx (w : worker) ~counters site =
     in
     let r =
       Dt_obs.Span.with_ w.spans Dt_obs.Span.Pair @@ fun () ->
-      scoped (fun () ->
-          let r =
-            match ctx.ccache with
+      let r =
+        match ctx.ccache with
+        | None ->
+            Pair_test.test ~counters ?metrics:w.metrics ?spans:w.spans
+              ?budget ~strategy:ctx.cstrategy
+              ~assume:ctx.cassume
+              ~src:(a1.Stmt.aref, loops1)
+              ~snk:(a2.Stmt.aref, loops2)
+              ()
+        | Some c -> (
+            let key =
+              Dt_engine.Key.make
+                ~src:(a1.Stmt.aref, loops1)
+                ~snk:(a2.Stmt.aref, loops2)
+                ~facts:ctx.cfacts ~tag:ctx.ctag
+            in
+            match Pair_cache.find c key ~counters with
+            | Some r ->
+                (match w.metrics with
+                | Some m -> Dt_obs.Metrics.cache_hit m
+                | None -> ());
+                emit
+                  (Dt_obs.Trace.Note
+                     "verdict from the structural memo cache (run with the \
+                      cache off for the full test trace)");
+                r
             | None ->
-                Pair_test.test ~counters ?metrics:w.metrics ?sink:ctx.csink
-                  ?spans:w.spans ?budget ~strategy:ctx.cstrategy
-                  ~assume:ctx.cassume
-                  ~src:(a1.Stmt.aref, loops1)
-                  ~snk:(a2.Stmt.aref, loops2)
-                  ()
-            | Some c -> (
-                let key =
-                  Dt_engine.Key.make
+                (match w.metrics with
+                | Some m -> Dt_obs.Metrics.cache_miss m
+                | None -> ());
+                (* run against a fresh accumulator so the increments
+                   can be stored and replayed on later hits *)
+                let local = Counters.create () in
+                let r =
+                  Pair_test.test ~counters:local ?metrics:w.metrics
+                    ?spans:w.spans ?budget
+                    ~strategy:ctx.cstrategy ~assume:ctx.cassume
                     ~src:(a1.Stmt.aref, loops1)
                     ~snk:(a2.Stmt.aref, loops2)
-                    ~facts:ctx.cfacts ~tag:ctx.ctag
+                    ()
                 in
-                match Pair_cache.find c key ~counters with
-                | Some r ->
-                    (match w.metrics with
-                    | Some m -> Dt_obs.Metrics.cache_hit m
-                    | None -> ());
-                    emit
-                      (Dt_obs.Trace.Note
-                         "verdict from the structural memo cache (run with \
-                          the cache off for the full test trace)");
-                    r
-                | None ->
-                    (match w.metrics with
-                    | Some m -> Dt_obs.Metrics.cache_miss m
-                    | None -> ());
-                    (* run against a fresh accumulator so the increments
-                       can be stored and replayed on later hits *)
-                    let local = Counters.create () in
-                    let r =
-                      Pair_test.test ~counters:local ?metrics:w.metrics
-                        ?sink:ctx.csink ?spans:w.spans ?budget
-                        ~strategy:ctx.cstrategy ~assume:ctx.cassume
-                        ~src:(a1.Stmt.aref, loops1)
-                        ~snk:(a2.Stmt.aref, loops2)
-                        ()
-                    in
-                    (* a degraded verdict reflects a fault or a spent
-                       budget, not the pair's shape: never memoize it *)
-                    if r.Pair_test.meta.Pair_test.degraded = None then
-                      Pair_cache.store c key ~counters:local r;
-                    Counters.merge_into counters local;
-                    r)
-          in
-          (if ctx.csink <> None then
-             let independent = r.Pair_test.result = `Independent in
-             let reason =
-               match
-                 (r.Pair_test.result, r.Pair_test.meta.Pair_test.proved_by)
-               with
-               | `Independent, Some k -> "proved by " ^ Counters.kind_name k
-               | `Independent, None ->
-                   "no consistent direction vector across subscript \
-                    partitions"
-               | `Dependent { Pair_test.dirvecs; _ }, _ ->
-                   Format.asprintf "%d direction vector(s):%t"
-                     (List.length dirvecs) (fun ppf ->
-                       List.iter
-                         (fun v -> Format.fprintf ppf " %a" Dirvec.pp v)
-                         dirvecs)
-             in
-             emit (Dt_obs.Trace.Verdict { independent; reason }));
-          r)
+                (* a degraded verdict reflects a fault or a spent
+                   budget, not the pair's shape: never memoize it *)
+                if r.Pair_test.meta.Pair_test.degraded = None then
+                  Pair_cache.store c key ~counters:local r;
+                Counters.merge_into counters local;
+                r)
+      in
+      (if explaining then
+         let independent = r.Pair_test.result = `Independent in
+         let reason =
+           match
+             (r.Pair_test.result, r.Pair_test.meta.Pair_test.proved_by)
+           with
+           | `Independent, Some k -> "proved by " ^ Counters.kind_name k
+           | `Independent, None ->
+               "no consistent direction vector across subscript \
+                partitions"
+           | `Dependent { Pair_test.dirvecs; _ }, _ ->
+               Format.asprintf "%d direction vector(s):%t"
+                 (List.length dirvecs) (fun ppf ->
+                   List.iter
+                     (fun v -> Format.fprintf ppf " %a" Dirvec.pp v)
+                     dirvecs)
+         in
+         emit (Dt_obs.Trace.Verdict { independent; reason }));
+      r
     in
     (match w.metrics with
     | Some m ->
@@ -546,8 +543,8 @@ let orient ?buf (sites : site array) (results : Pair_test.t option array) =
   { deps = List.rev !deps; pairs = List.rev !pairs; counters = Counters.create () }
 
 let run (cfg : Config.t) prog =
-  let { Config.include_inputs; jobs; cache; metrics; sink; profiler;
-        deadline_ms; _ } =
+  let { Config.include_inputs; jobs; cache; metrics; profiler; deadline_ms;
+        _ } =
     cfg
   in
   let deadline_ns = deadline_of deadline_ms in
@@ -560,18 +557,13 @@ let run (cfg : Config.t) prog =
         sites ~include_inputs prog)
   in
   let n = Array.length sites in
-  (* a trace is an ordered narrative: a sink forces the sequential path.
-     In auto mode (jobs = 0) the engine also stays sequential below the
+  (* in auto mode (jobs = 0) the engine stays sequential below the
      grain threshold: a Domain spawn+join costs ~1ms while a typical
      reference pair tests in ~10us, so small nests lose badly from
      fanning out. An explicit jobs count is honored literally (tests
      rely on that to drive the multi-domain path on small programs).
      The result is identical either way — only the wall clock changes. *)
-  let jobs =
-    if sink <> None then 1
-    else if jobs = 0 && n < min_parallel_sites then 1
-    else jobs
-  in
+  let jobs = if jobs = 0 && n < min_parallel_sites then 1 else jobs in
   let results = Array.make n None in
   let ctx = ctx_of cfg ~deadline_ns in
   (* mirror [Pool.run]'s worker-count resolution so the states (and
@@ -615,7 +607,8 @@ let run (cfg : Config.t) prog =
           Dt_support.Pool.run pool ~n
             ~state:(fun w -> wres.(w))
             ~body:(fun w i ->
-              results.(i) <- Some (test_one ctx w ~counters:w.counters sites.(i))))
+              results.(i) <-
+                Some (test_one ctx w ~counters:w.counters i sites.(i))))
   in
   let counters = merge_workers ~metrics workers in
   snapshot_cache ~metrics ~cache;
@@ -638,7 +631,7 @@ let analyze_seq ctx (w : worker) ~include_inputs prog =
   for i = 0 to n - 1 do
     results.(i) <-
       Some
-        (match test_one ctx w ~counters sites.(i) with
+        (match test_one ctx w ~counters i sites.(i) with
         | r -> r
         | exception Out_of_memory -> raise Out_of_memory
         | exception e ->
@@ -648,19 +641,18 @@ let analyze_seq ctx (w : worker) ~include_inputs prog =
   { r with counters }
 
 let run_all (cfg : Config.t) progs =
-  let { Config.include_inputs; jobs; cache; metrics; sink; profiler;
-        deadline_ms; _ } =
+  let { Config.include_inputs; jobs; cache; metrics; profiler; deadline_ms;
+        _ } =
     cfg
   in
   let n = List.length progs in
   (* shard at routine granularity only when there is real fan-out to
      gain: several routines and either an explicit jobs >= 2 or enough
-     routines for auto mode to beat the spawn cost. Everything else —
-     including a trace sink, whose narrative must stay ordered — falls
-     back to analyzing the routines one by one, where each [run] still
-     applies its own per-site parallelism policy. *)
+     routines for auto mode to beat the spawn cost. Everything else
+     falls back to analyzing the routines one by one, where each [run]
+     still applies its own per-site parallelism policy. *)
   let sharded =
-    sink = None && n >= 2
+    n >= 2
     && (match jobs with
        | 0 -> n >= min_parallel_routines
        | 1 -> false

@@ -15,7 +15,7 @@ open Dt_ir
 
 (** Analysis configuration: the testing strategy and symbolic facts
     (semantics), the engine knobs (worker count, memo cache), and the
-    observability outputs (metrics registry, trace sink) in one value.
+    observability outputs (metrics registry, span profiler) in one value.
 
     A configuration [make ~cache:true] owns its memo cache: reusing the
     same [Config.t] across several {!run} calls shares the cache, so a
@@ -33,7 +33,6 @@ module Config : sig
     ?cache_capacity:int ->
     ?disk:Dt_engine.Store.t ->
     ?metrics:Dt_obs.Metrics.t ->
-    ?sink:Dt_obs.Trace.sink ->
     ?profiler:Dt_obs.Span.profiler ->
     ?budget:int ->
     ?deadline_ms:int ->
@@ -44,13 +43,14 @@ module Config : sig
       nests — fewer than ~256 reference pairs, where a Domain spawn
       would cost more than the testing work — run sequentially), cache
       on and unbounded ([cache_capacity] bounds its resident entries
-      with FIFO eviction), no metrics, no sink, no
+      with FIFO eviction), no metrics, no
       profiler, no budget, no deadline. An explicit [jobs >= 1] is
-      honored literally. A trace sink forces sequential execution — a
-      trace is an ordered narrative. A profiler does {e not} constrain
-      the schedule: each worker domain records into its own span buffer
-      and the buffers merge deterministically afterwards (see
-      {!Dt_obs.Span}).
+      honored literally. A profiler does {e not} constrain the
+      schedule, even one created with [~explain:true]: each worker
+      domain records its spans and explain steps into its own buffer,
+      the buffers merge deterministically afterwards (see
+      {!Dt_obs.Span}), and {!Dt_obs.Trace} orders the explain steps by
+      pair, so the explain rendering is the same at every [jobs].
 
       [budget] caps the work per reference pair (in Banerjee
       hierarchy-node evaluations); a pair that exhausts it degrades to
@@ -142,8 +142,7 @@ val run_all : Config.t -> Nest.program list -> result list
     containment aborts the batch exactly as the corresponding [run]
     call would. Falls back to [List.map (run cfg)] (and its per-site
     parallelism policy) when there is no fan-out to gain: fewer than
-    two routines, [jobs = 1], a trace sink, or auto mode on a small
-    batch. *)
+    two routines, [jobs = 1], or auto mode on a small batch. *)
 
 val decompose :
   Dirvec.t -> (int option * Dirvec.t * [ `Forward | `Backward ]) list

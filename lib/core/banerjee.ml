@@ -373,7 +373,7 @@ let symbolic_feasible assume st =
   (try go 0 with Early -> ());
   not (!all_below || !all_above)
 
-let eval_state ?metrics ?sink ?budget ~from_scratch assume st =
+let eval_state ?metrics ?spans ?budget ~from_scratch assume st =
   Dt_guard.Inject.hit inject_node;
   Dt_guard.Budget.charge budget 1;
   (match metrics with
@@ -386,15 +386,14 @@ let eval_state ?metrics ?sink ?budget ~from_scratch assume st =
     (match metrics with
     | Some m -> Dt_obs.Metrics.banerjee_cap m
     | None -> ());
-    (match sink with
-    | Some s ->
-        Dt_obs.Trace.emit s
-          (Dt_obs.Trace.Note
-             (Printf.sprintf
-                "Banerjee vertex cross product capped (%d > %d combinations); \
-                 assuming feasible"
-                st.combos max_combos))
-    | None -> ());
+    if Dt_obs.Span.explaining spans then
+      Dt_obs.Span.explain spans
+        (Dt_obs.Trace.Step
+           (Note
+              (Printf.sprintf
+                 "Banerjee vertex cross product capped (%d > %d \
+                  combinations); assuming feasible"
+                 st.combos max_combos)));
     true
   end
   else if st.n_sym = 0 && st.c_is_const then
@@ -403,7 +402,7 @@ let eval_state ?metrics ?sink ?budget ~from_scratch assume st =
     c >= st.lo_sum && c <= st.hi_sum
   else symbolic_feasible assume st
 
-let feasible ?metrics ?sink ?budget assume range (p : Spair.t) ~dirs =
+let feasible ?metrics ?spans ?budget assume range (p : Spair.t) ~dirs =
   if !use_reference then
     Reference.feasible ?metrics ?budget assume range p ~dirs
   else begin
@@ -419,10 +418,10 @@ let feasible ?metrics ?sink ?budget assume range (p : Spair.t) ~dirs =
           | None -> ()
         end)
       dirs;
-    eval_state ?metrics ?sink ?budget ~from_scratch:true assume st
+    eval_state ?metrics ?spans ?budget ~from_scratch:true assume st
   end
 
-let vectors ?metrics ?sink ?spans ?budget assume range pairs ~indices =
+let vectors ?metrics ?spans ?budget assume range pairs ~indices =
   Dt_obs.Span.with_ spans Dt_obs.Span.Banerjee @@ fun () ->
   if !use_reference then
     Reference.vectors ?metrics ?budget assume range pairs ~indices
@@ -453,7 +452,7 @@ let vectors ?metrics ?sink ?spans ?budget assume range pairs ~indices =
     let feasible_all () =
       List.for_all
         (fun (st, _) ->
-          eval_state ?metrics ?sink ?budget ~from_scratch:false assume st)
+          eval_state ?metrics ?spans ?budget ~from_scratch:false assume st)
         states
     in
     let set_all k code =

@@ -29,7 +29,7 @@ open Dt_ir
 
 val feasible :
   ?metrics:Dt_obs.Metrics.t ->
-  ?sink:Dt_obs.Trace.sink ->
+  ?spans:Dt_obs.Span.t ->
   ?budget:Dt_guard.Budget.t ->
   Assume.t ->
   Range.t ->
@@ -41,9 +41,10 @@ val feasible :
     the pair absent from [dirs] are unconstrained, and the first binding
     of an index wins. Sound: [false] proves no solution. Includes the
     directed GCD test. [metrics] counts the evaluation (a single query
-    builds its state from scratch); [sink] receives a note when the
-    vertex cross product exceeds {!max_combos} and the test
-    conservatively assumes feasibility. [budget] is charged one unit per
+    builds its state from scratch); [spans] records an explain note
+    (see {!Dt_obs.Span.explain}) when the vertex cross product exceeds
+    {!max_combos} and the test conservatively assumes feasibility.
+    [budget] is charged one unit per
     hierarchy-node evaluation and raises {!Dt_guard.Budget.Exhausted}
     when spent — the driver catches it at the pair boundary. *)
 
@@ -55,7 +56,6 @@ val region_nonempty :
 
 val vectors :
   ?metrics:Dt_obs.Metrics.t ->
-  ?sink:Dt_obs.Trace.sink ->
   ?spans:Dt_obs.Span.t ->
   ?budget:Dt_guard.Budget.t ->
   Assume.t ->
@@ -69,9 +69,9 @@ val vectors :
     order), or [`Independent] when none survive.
 
     One kernel compilation per pair (counted in [metrics]), then O(1)
-    contribution swaps per hierarchy node. [sink] receives a
-    note per combo-cap fallback; [spans] brackets the whole hierarchy
-    walk as one {!Dt_obs.Span.Banerjee} timeline span. *)
+    contribution swaps per hierarchy node. [spans] brackets the whole
+    hierarchy walk as one {!Dt_obs.Span.Banerjee} timeline span and
+    records an explain note per combo-cap fallback. *)
 
 val explain :
   [ `Independent | `Vectors of Direction.t list list ] -> string

@@ -161,7 +161,7 @@ let relation_infeasible loops assume ~ivar ~jvar ~e =
       else false)
     loops
 
-let test ?counters ?metrics ?sink ?spans ?budget ?trace ?(loops = []) assume
+let test ?counters ?metrics ?spans ?budget ?(loops = []) assume
     range pairs ~relevant =
   Dt_obs.Span.with_ spans Dt_obs.Span.Delta @@ fun () ->
   let instrumented = metrics <> None || spans <> None in
@@ -184,24 +184,18 @@ let test ?counters ?metrics ?sink ?spans ?budget ?trace ?(loops = []) assume
     end
   in
   let tick () = if instrumented then Dt_obs.Clock.now_ns () else 0L in
-  (* [tracing] is checked before any trace string is built, so a run
-     without observers allocates nothing for tracing *)
-  let tracing = trace <> None || sink <> None in
-  let legacy s = match trace with Some f -> f s | None -> () in
+  (* [tracing] is checked before any explain payload is built, so a run
+     without explain allocates nothing for it *)
+  let tracing = Dt_obs.Span.explaining spans in
   let emit ev =
-    match sink with Some sk -> Dt_obs.Trace.emit sk ev | None -> ()
+    if tracing then Dt_obs.Span.explain spans (Dt_obs.Trace.Step ev)
   in
-  let note s =
-    legacy s;
-    emit (Dt_obs.Trace.Note s)
-  in
+  let note s = if tracing then emit (Dt_obs.Trace.Note s) in
   let emit_test kind p verdict reason =
-    match sink with
-    | Some sk ->
-        Dt_obs.Trace.emit sk
-          (Dt_obs.Trace.Test
-             { kind; subscript = Spair.to_string p; verdict; reason })
-    | None -> ()
+    if tracing then
+      emit
+        (Dt_obs.Trace.Test
+           { kind; subscript = Spair.to_string p; verdict; reason })
   in
   let pairs = Array.of_list pairs in
   let n = Array.length pairs in
@@ -217,20 +211,16 @@ let test ?counters ?metrics ?sink ?spans ?budget ?trace ?(loops = []) assume
   let add_constr i c =
     let old = get_constr i in
     let c' = Constr.intersect assume old c in
-    if tracing then begin
-      legacy
-        (Format.asprintf "  constraint on %a: %a /\\ %a = %a" Index.pp i
-           Constr.pp old Constr.pp c Constr.pp c');
+    if tracing then
       emit
         (Dt_obs.Trace.Constraint
            {
              index = Format.asprintf "%a" Index.pp i;
              constr = Constr.to_string c';
              note = Format.asprintf "%a /\\ %a" Constr.pp old Constr.pp c;
-           })
-    end;
+           });
     if Constr.is_empty c' then begin
-      if tracing then note "  -> contradiction: independent";
+      note "  -> contradiction: independent";
       raise Proved_independent
     end;
     if not (Constr.equal old c') then begin
@@ -247,7 +237,6 @@ let test ?counters ?metrics ?sink ?spans ?budget ?trace ?(loops = []) assume
         let indep = o = Outcome.Independent in
         record ~t0 Counters.Ziv_test ~indep;
         if tracing then begin
-          legacy (Format.asprintf "  ZIV test %a: %a" Spair.pp p Outcome.pp o);
           let d = Affine.sub p.Spair.snk p.Spair.src in
           emit_test Counters.Ziv_test p
             (if indep then Dt_obs.Trace.Independent
@@ -274,15 +263,10 @@ let test ?counters ?metrics ?sink ?spans ?budget ?trace ?(loops = []) assume
         in
         let indep = r.Siv.outcome = Outcome.Independent in
         record ~t0 ckind ~indep;
-        if tracing then begin
-          legacy
-            (Format.asprintf "  %s test %a: %a"
-               (Classify.to_string (Classify.Siv { index; kind }))
-               Spair.pp p Outcome.pp r.Siv.outcome);
+        if tracing then
           emit_test ckind p
             (if indep then Dt_obs.Trace.Independent else Dt_obs.Trace.Dependent)
-            (Siv.explain range p index r)
-        end;
+            (Siv.explain range p index r);
         pending.(k) <- false;
         match r.Siv.outcome with
         | Outcome.Independent -> raise Proved_independent
@@ -292,14 +276,10 @@ let test ?counters ?metrics ?sink ?spans ?budget ?trace ?(loops = []) assume
         let r = Rdiv.test assume range p ~src:src_index ~snk:snk_index in
         let indep = r.Rdiv.outcome = Outcome.Independent in
         record ~t0 Counters.Rdiv_test ~indep;
-        if tracing then begin
-          legacy
-            (Format.asprintf "  RDIV test %a: %a" Spair.pp p Outcome.pp
-               r.Rdiv.outcome);
+        if tracing then
           emit_test Counters.Rdiv_test p
             (if indep then Dt_obs.Trace.Independent else Dt_obs.Trace.Dependent)
-            (Rdiv.explain r)
-        end;
+            (Rdiv.explain r);
         pending.(k) <- false;
         match r.Rdiv.outcome with
         | Outcome.Independent -> raise Proved_independent
@@ -436,7 +416,7 @@ let test ?counters ?metrics ?sink ?spans ?budget ?trace ?(loops = []) assume
             handle var_b)
           loops;
         if Symfm.infeasible assume ~nvars !base then begin
-          if tracing then note "  relational system infeasible: independent";
+          note "  relational system infeasible: independent";
           raise Proved_independent
         end;
         (* per-index direction refinement *)
@@ -457,8 +437,7 @@ let test ?counters ?metrics ?sink ?spans ?budget ?trace ?(loops = []) assume
                 in
                 let dirs = Direction.of_list (List.filter dir_ok Direction.all) in
                 if Direction.is_empty dirs then begin
-                  if tracing then
-                    note "  relational direction refinement: independent";
+                  note "  relational direction refinement: independent";
                   raise Proved_independent
                 end
                 else if not (Direction.is_full dirs) then
@@ -505,8 +484,7 @@ let test ?counters ?metrics ?sink ?spans ?budget ?trace ?(loops = []) assume
         | Constr.Sym_dist ds ->
             let e = Affine.add ds c in
             if relation_infeasible loops assume ~ivar:i ~jvar:j ~e then begin
-              if tracing then
-                note "  symbolic RDIV relation violates bounds: independent";
+              note "  symbolic RDIV relation violates bounds: independent";
               raise Proved_independent
             end
         | Constr.Point { x; _ } ->
@@ -594,8 +572,7 @@ let test ?counters ?metrics ?sink ?spans ?budget ?trace ?(loops = []) assume
                 (* same orientation: alpha_i = beta_j + c1 = beta_j + c2 *)
                 match Assume.sign assume (Affine.sub c1 c2) with
                 | `Pos | `Neg ->
-                    if tracing then
-                      note "  inconsistent RDIV relations: independent";
+                    note "  inconsistent RDIV relations: independent";
                     raise Proved_independent
                 | _ -> ()
               end)
@@ -607,7 +584,7 @@ let test ?counters ?metrics ?sink ?spans ?budget ?trace ?(loops = []) assume
     let continue = ref true in
     while !continue && !passes < (3 * n) + 3 do
       incr passes;
-      emit (Dt_obs.Trace.Pass !passes);
+      if tracing then emit (Dt_obs.Trace.Pass !passes);
       Dt_obs.Span.with_ spans Dt_obs.Span.Delta_pass (fun () ->
           changed := false;
           for k = 0 to n - 1 do
@@ -645,33 +622,27 @@ let test ?counters ?metrics ?sink ?spans ?budget ?trace ?(loops = []) assume
           (match Gcd_test.test p with
           | `Independent ->
               record ~t0 Counters.Gcd_miv ~indep:true;
-              if tracing then begin
-                legacy "  GCD on leftover MIV: independent";
-                emit_test Counters.Gcd_miv p Dt_obs.Trace.Independent
-                  "coefficient gcd does not divide the constant difference"
-              end;
+              emit_test Counters.Gcd_miv p Dt_obs.Trace.Independent
+                "coefficient gcd does not divide the constant difference";
               raise Proved_independent
           | `Maybe ->
               record ~t0 Counters.Gcd_miv ~indep:false;
-              if tracing then
-                emit_test Counters.Gcd_miv p Dt_obs.Trace.Inconclusive
-                  "coefficient gcd divides the constant difference");
+              emit_test Counters.Gcd_miv p Dt_obs.Trace.Inconclusive
+                "coefficient gcd divides the constant difference");
           let indices =
             Index.Set.elements occurring
             |> List.sort (fun a b -> compare (Index.depth a) (Index.depth b))
           in
           let t1 = tick () in
           match
-            Banerjee.vectors ?metrics ?sink ?spans ?budget assume range
+            Banerjee.vectors ?metrics ?spans ?budget assume range
               [ p ] ~indices
           with
           | `Independent as v ->
               record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:true;
-              if tracing then begin
-                legacy "  Banerjee on leftover MIV: independent";
+              if tracing then
                 emit_test Counters.Banerjee_miv p Dt_obs.Trace.Independent
-                  (Banerjee.explain v)
-              end;
+                  (Banerjee.explain v);
               raise Proved_independent
           | `Vectors vecs as v ->
               record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:false;

@@ -29,10 +29,8 @@ type result = {
 val test :
   ?counters:Counters.t ->
   ?metrics:Dt_obs.Metrics.t ->
-  ?sink:Dt_obs.Trace.sink ->
   ?spans:Dt_obs.Span.t ->
   ?budget:Dt_guard.Budget.t ->
-  ?trace:(string -> unit) ->
   ?loops:Loop.t list ->
   Assume.t ->
   Range.t ->
@@ -40,13 +38,13 @@ val test :
   relevant:Index.Set.t ->
   result
 (** Test one minimal coupled group. [relevant] is the set of common-loop
-    indices. [trace] receives a human-readable account of every step (used
-    by the Figure-3 walkthrough example); [sink] receives the same account
-    as typed {!Dt_obs.Trace} events and [metrics] accumulates per-kind
-    timings. [spans] adds the group to the timeline: one
-    {!Dt_obs.Span.Delta} bracket, one {!Dt_obs.Span.Delta_pass} per
-    constraint-propagation pass, and a leaf span per exact test applied.
-    When no observer is supplied no trace strings are built.
+    indices. [metrics] accumulates per-kind timings. [spans] adds the
+    group to the timeline: one {!Dt_obs.Span.Delta} bracket, one
+    {!Dt_obs.Span.Delta_pass} per constraint-propagation pass, and a
+    leaf span per exact test applied; when it belongs to an explain-on
+    profiler it also records every step as a typed {!Dt_obs.Trace}
+    event inside the Delta bracket (the Figure-3 walkthrough example
+    prints them). Without explain no event payload is built.
 
     [loops] (the enclosing loops, outermost first) enables the *relational*
     RDIV refinement: combining an RDIV relation [alpha_i = beta_j + c]

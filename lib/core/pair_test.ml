@@ -81,7 +81,7 @@ let rename_snk ~src_loops ~common (snk_loops : Loop.t list)
    renaming / range computation / classification — before the per-pair
    backstop below is even reachable — escapes this function. [test]
    wraps it so the exported entry point never raises. *)
-let test_exn ?counters ?metrics ?sink ?spans ?budget
+let test_exn ?counters ?metrics ?spans ?budget
     ?(strategy = Partition_based) ?(assume = Assume.empty)
     ~src:(src_ref, src_loops) ~snk:(snk_ref, snk_loops) () =
   if src_ref.Aref.base <> snk_ref.Aref.base then
@@ -139,19 +139,15 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget
     end
   in
   let tick () = if instrumented then Dt_obs.Clock.now_ns () else 0L in
+  let explaining = Dt_obs.Span.explaining spans in
   let emit ev =
-    match sink with Some sk -> Dt_obs.Trace.emit sk ev | None -> ()
-  in
-  let scoped f =
-    match sink with Some sk -> Dt_obs.Trace.scope sk f | None -> f ()
+    if explaining then Dt_obs.Span.explain spans (Dt_obs.Trace.Step ev)
   in
   let emit_test kind p verdict reason =
-    match sink with
-    | Some sk ->
-        Dt_obs.Trace.emit sk
-          (Dt_obs.Trace.Test
-             { kind; subscript = Spair.to_string p; verdict; reason })
-    | None -> ()
+    if explaining then
+      emit
+        (Dt_obs.Trace.Test
+           { kind; subscript = Spair.to_string p; verdict; reason })
   in
   let exception Indep of Counters.kind option in
   (* fault containment: the first degradation reason per pair, recorded
@@ -183,7 +179,7 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget
         let ck = if symbolic then Counters.Symbolic_ziv else Counters.Ziv_test in
         let indep = o = Outcome.Independent in
         record ~t0 ck ~indep;
-        if sink <> None then
+        if explaining then
           emit_test ck p
             (if indep then Dt_obs.Trace.Independent
              else Dt_obs.Trace.Inconclusive)
@@ -206,7 +202,7 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget
         in
         let indep = r.Siv.outcome = Outcome.Independent in
         record ~t0 ck ~indep;
-        if sink <> None then
+        if explaining then
           emit_test ck p
             (if indep then Dt_obs.Trace.Independent else Dt_obs.Trace.Dependent)
             (Siv.explain range p index r);
@@ -217,7 +213,7 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget
         let r = Rdiv.test assume range p ~src:src_index ~snk:snk_index in
         let indep = r.Rdiv.outcome = Outcome.Independent in
         record ~t0 Counters.Rdiv_test ~indep;
-        if sink <> None then
+        if explaining then
           emit_test Counters.Rdiv_test p
             (if indep then Dt_obs.Trace.Independent else Dt_obs.Trace.Dependent)
             (Rdiv.explain r);
@@ -238,18 +234,18 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget
         in
         let t1 = tick () in
         match
-          Banerjee.vectors ?metrics ?sink ?spans ?budget assume range
+          Banerjee.vectors ?metrics ?spans ?budget assume range
             [ p ] ~indices
         with
         | `Independent as v ->
             record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:true;
-            if sink <> None then
+            if explaining then
               emit_test Counters.Banerjee_miv p Dt_obs.Trace.Independent
                 (Banerjee.explain v);
             raise (Indep (Some Counters.Banerjee_miv))
         | `Vectors vecs as v ->
             record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:false;
-            if sink <> None then
+            if explaining then
               emit_test Counters.Banerjee_miv p Dt_obs.Trace.Dependent
                 (Banerjee.explain v);
             Presult.Vectors (indices, vecs))
@@ -258,14 +254,15 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget
   let separable, coupled =
     List.partition (fun g -> List.length g.Classify.positions = 1) groups
   in
-  emit
-    (Dt_obs.Trace.Partitioned
-       {
-         dims = List.length spairs + nonlinear;
-         nonlinear;
-         separable = List.length separable;
-         coupled_groups = List.length coupled;
-       });
+  if explaining then
+    emit
+      (Dt_obs.Trace.Partitioned
+         {
+           dims = List.length spairs + nonlinear;
+           nonlinear;
+           separable = List.length separable;
+           coupled_groups = List.length coupled;
+         });
   let run () =
     Dt_guard.Inject.hit inject_pair;
     let parts =
@@ -273,7 +270,7 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget
           match strategy with
           | Subscript_by_subscript -> (
               match
-                Subscript_wise.test ?counters ?metrics ?sink ?spans ?budget
+                Subscript_wise.test ?counters ?metrics ?spans ?budget
                   assume range spairs ~common:common_indices
               with
               | `Independent k -> raise (Indep (Some k))
@@ -294,17 +291,17 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget
                     let group_pairs =
                       List.map (fun k -> spairs_arr.(k)) g.Classify.positions
                     in
-                    emit
-                      (Dt_obs.Trace.Group_start
-                         { positions = g.Classify.positions });
+                    if explaining then
+                      emit
+                        (Dt_obs.Trace.Group_start
+                           { positions = g.Classify.positions });
                     contain
                       ~widen:(fun r -> [ Presult.Degraded r ])
                       (fun () ->
                         let r =
-                          scoped (fun () ->
-                              Delta.test ?counters ?metrics ?sink ?spans
-                                ?budget ~loops:all_loops
-                                assume range group_pairs ~relevant)
+                          Delta.test ?counters ?metrics ?spans ?budget
+                            ~loops:all_loops assume range group_pairs
+                            ~relevant
                         in
                         delta_passes := max !delta_passes r.Delta.passes;
                         delta_leftover :=
@@ -368,10 +365,11 @@ let test_exn ?counters ?metrics ?sink ?spans ?budget
       (match metrics with
       | Some m -> Dt_obs.Metrics.degraded m (Dt_guard.Degrade.tag r)
       | None -> ());
-      emit
-        (Dt_obs.Trace.Note
-           (Printf.sprintf "pair degraded conservatively (%s)"
-              (Dt_guard.Degrade.to_string r))));
+      if explaining then
+        emit
+          (Dt_obs.Trace.Note
+             (Printf.sprintf "pair degraded conservatively (%s)"
+                (Dt_guard.Degrade.to_string r))));
   let meta =
     {
       dims = List.length spairs + nonlinear;
@@ -417,13 +415,11 @@ let degraded_result ~src:((_ : Aref.t), src_loops) ~snk:((_ : Aref.t), snk_loops
    exported driver therefore never raises — any fault yields the
    conservative full direction-vector verdict, with the reason recorded
    in metrics and on the trace. [Out_of_memory] stays fatal. *)
-let test ?counters ?metrics ?sink ?spans ?budget ?strategy ?assume ~src ~snk
-    () =
+let test ?counters ?metrics ?spans ?budget ?strategy ?assume ~src ~snk () =
   if (fst src).Aref.base <> (fst snk).Aref.base then
     invalid_arg "Pair_test.test: references to different arrays";
   match
-    test_exn ?counters ?metrics ?sink ?spans ?budget ?strategy ?assume ~src
-      ~snk ()
+    test_exn ?counters ?metrics ?spans ?budget ?strategy ?assume ~src ~snk ()
   with
   | r -> r
   | exception Out_of_memory -> raise Out_of_memory
@@ -440,11 +436,10 @@ let test ?counters ?metrics ?sink ?spans ?budget ?strategy ?assume ~src ~snk
       (match metrics with
       | Some m -> Dt_obs.Metrics.degraded m (Dt_guard.Degrade.tag reason)
       | None -> ());
-      (match sink with
-      | Some sk ->
-          Dt_obs.Trace.emit sk
-            (Dt_obs.Trace.Note
-               (Printf.sprintf "pair degraded conservatively (%s)"
-                  (Dt_guard.Degrade.to_string reason)))
-      | None -> ());
+      if Dt_obs.Span.explaining spans then
+        Dt_obs.Span.explain spans
+          (Dt_obs.Trace.Step
+             (Note
+                (Printf.sprintf "pair degraded conservatively (%s)"
+                   (Dt_guard.Degrade.to_string reason))));
       degraded_result ~src ~snk reason

@@ -54,7 +54,6 @@ val common_loops : Loop.t list -> Loop.t list -> Loop.t list
 val test :
   ?counters:Counters.t ->
   ?metrics:Dt_obs.Metrics.t ->
-  ?sink:Dt_obs.Trace.sink ->
   ?spans:Dt_obs.Span.t ->
   ?budget:Dt_guard.Budget.t ->
   ?strategy:strategy ->
@@ -68,11 +67,11 @@ val test :
     added to [assume] automatically.
 
     [metrics] accumulates per-test-kind counts/timings and partition /
-    test / merge phase spans; [sink] receives the typed trace of every
-    step (see {!Dt_obs.Trace}); [spans] receives the timeline —
+    test / merge phase spans; [spans] receives the timeline —
     partition and merge brackets, a leaf span per test applied, and the
-    Delta / Banerjee sub-brackets (see {!Dt_obs.Span}). None of them
-    costs anything when omitted.
+    Delta / Banerjee sub-brackets (see {!Dt_obs.Span}) — and, when it
+    belongs to an explain-on profiler, the typed explain event of every
+    step (see {!Dt_obs.Trace}). Neither costs anything when omitted.
 
     Fault containment: an overflow of the checked arithmetic or an
     injected fault inside one partition's test degrades that partition;
@@ -80,7 +79,7 @@ val test :
     {!Dt_guard.Budget.Exhausted} when [budget] runs out — degrades the
     whole pair to the full direction-vector verdict. Either way the
     reason is recorded in [meta.degraded], counted in [metrics]'s guard
-    block, and noted on [sink]; the call never raises (except
+    block, and noted as an explain step; the call never raises (except
     [Out_of_memory], which stays fatal). *)
 
 val degraded_result :

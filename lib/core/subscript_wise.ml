@@ -1,6 +1,6 @@
 open Dt_ir
 
-let test ?counters ?metrics ?sink ?spans ?budget assume range pairs ~common =
+let test ?counters ?metrics ?spans ?budget assume range pairs ~common =
   let instrumented = metrics <> None || spans <> None in
   let record ?(t0 = 0L) ?(span = true) k ~indep =
     (match counters with Some c -> Counters.record c k ~indep | None -> ());
@@ -16,13 +16,12 @@ let test ?counters ?metrics ?sink ?spans ?budget assume range pairs ~common =
     end
   in
   let tick () = if instrumented then Dt_obs.Clock.now_ns () else 0L in
+  let explaining = Dt_obs.Span.explaining spans in
   let emit_test kind p verdict reason =
-    match sink with
-    | Some s ->
-        Dt_obs.Trace.emit s
-          (Dt_obs.Trace.Test
-             { kind; subscript = Spair.to_string p; verdict; reason })
-    | None -> ()
+    if explaining then
+      Dt_obs.Span.explain spans
+        (Dt_obs.Trace.Step
+           (Test { kind; subscript = Spair.to_string p; verdict; reason }))
   in
   let exception Indep of Counters.kind in
   try
@@ -43,18 +42,20 @@ let test ?counters ?metrics ?sink ?spans ?budget assume range pairs ~common =
           in
           let t1 = tick () in
           match
-            Banerjee.vectors ?metrics ?sink ?spans ?budget assume range
+            Banerjee.vectors ?metrics ?spans ?budget assume range
               [ p ] ~indices
           with
           | `Independent as v ->
               record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:true;
-              emit_test Counters.Banerjee_miv p Dt_obs.Trace.Independent
-                (Banerjee.explain v);
+              if explaining then
+                emit_test Counters.Banerjee_miv p Dt_obs.Trace.Independent
+                  (Banerjee.explain v);
               raise (Indep Counters.Banerjee_miv)
           | `Vectors vecs as v ->
               record ~t0:t1 ~span:false Counters.Banerjee_miv ~indep:false;
-              emit_test Counters.Banerjee_miv p Dt_obs.Trace.Dependent
-                (Banerjee.explain v);
+              if explaining then
+                emit_test Counters.Banerjee_miv p Dt_obs.Trace.Dependent
+                  (Banerjee.explain v);
               Presult.Vectors (indices, vecs))
         pairs
     in

@@ -11,7 +11,6 @@ open Dt_ir
 val test :
   ?counters:Counters.t ->
   ?metrics:Dt_obs.Metrics.t ->
-  ?sink:Dt_obs.Trace.sink ->
   ?spans:Dt_obs.Span.t ->
   ?budget:Dt_guard.Budget.t ->
   Assume.t ->
@@ -20,5 +19,5 @@ val test :
   common:Index.t list ->
   [ `Independent of Counters.kind | `Dependent of Presult.t list ]
 (** One [Presult] per subscript position; on independence, the kind of the
-    test that proved it. [metrics] and [sink] feed the observability
+    test that proved it. [metrics] and [spans] feed the observability
     layer (see {!Dt_obs}). *)

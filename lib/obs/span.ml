@@ -1,3 +1,5 @@
+type args = ..
+
 type kind =
   | Analyze
   | Enumerate
@@ -17,6 +19,7 @@ type kind =
   | Shard
   | Steal
   | Request
+  | Explain of args
 
 let kind_name = function
   | Analyze -> "analyze"
@@ -37,6 +40,7 @@ let kind_name = function
   | Shard -> "shard"
   | Steal -> "steal"
   | Request -> "request"
+  | Explain _ -> "explain"
 
 type span = {
   kind : kind;
@@ -68,6 +72,7 @@ type cell = {
 type t = {
   bdomain : int;
   bgc : bool;
+  bexplain : bool;
   mutable cells : cell array;
   mutable len : int;
   mutable stack : int list;  (* open slots, innermost first *)
@@ -76,12 +81,9 @@ type t = {
 let dummy_cell =
   { ckind = Pair; cparent = -1; ct0 = 0L; ct1 = 0L; cminor = 0.; cmajor = 0. }
 
-let create ~gc domain =
-  { bdomain = domain; bgc = gc; cells = Array.make 64 dummy_cell; len = 0;
-    stack = [] }
-
-let domain b = b.bdomain
-let length b = b.len
+let create ~gc ~explain domain =
+  { bdomain = domain; bgc = gc; bexplain = explain;
+    cells = Array.make 64 dummy_cell; len = 0; stack = [] }
 
 let push b c =
   let n = Array.length b.cells in
@@ -141,6 +143,15 @@ let record b k ~t0_ns ~t1_ns =
       cmajor = 0.;
     }
 
+let explaining = function Some b -> b.bexplain | None -> false
+
+let explain b ev =
+  match b with
+  | Some b when b.bexplain ->
+      let t = Clock.now_ns () in
+      record b (Explain ev) ~t0_ns:t ~t1_ns:t
+  | _ -> ()
+
 let with_ b k f =
   match b with
   | None -> f ()
@@ -154,11 +165,13 @@ let with_ b k f =
 
 type profiler = {
   pgc : bool;
+  pexplain : bool;
   lock : Mutex.t;
   mutable bufs : t list;  (* unordered; sorted by domain id at dump *)
 }
 
-let profiler ?(gc = false) () = { pgc = gc; lock = Mutex.create (); bufs = [] }
+let profiler ?(gc = false) ?(explain = false) () =
+  { pgc = gc; pexplain = explain; lock = Mutex.create (); bufs = [] }
 
 let buffer p ~domain =
   Mutex.lock p.lock;
@@ -168,7 +181,7 @@ let buffer p ~domain =
       match List.find_opt (fun b -> b.bdomain = domain) p.bufs with
       | Some b -> b
       | None ->
-          let b = create ~gc:p.pgc domain in
+          let b = create ~gc:p.pgc ~explain:p.pexplain domain in
           p.bufs <- b :: p.bufs;
           b)
 

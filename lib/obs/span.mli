@@ -1,11 +1,13 @@
 (** Timeline spans: per-domain, append-only buffers of timestamped
-    begin/end intervals over the driver stack.
+    begin/end intervals over the driver stack — the one event store of
+    the observability layer.
 
-    Where {!Metrics} answers "how much, in total" and {!Trace} answers
-    "why, step by step", Span answers "when, and on which domain": every
-    instrumented region ([Analyze] phases, per-pair driver work, Delta
-    passes, Banerjee hierarchy evaluations, engine worker loops) becomes
-    one interval on the shared monotonic clock ({!Clock.now_ns}).
+    Where {!Metrics} answers "how much, in total", Span answers "when,
+    and on which domain": every instrumented region ([Analyze] phases,
+    per-pair driver work, Delta passes, Banerjee hierarchy evaluations,
+    engine worker loops) becomes one interval on the shared monotonic
+    clock ({!Clock.now_ns}). With [~explain:true] it also answers "why,
+    step by step" ({!explain}; rendered by {!Trace}).
 
     The discipline matches the rest of the observability layer: the
     driver threads a [t option] and checks it once per region — with
@@ -17,6 +19,10 @@
     {!profiler} registry is mutex-protected. After the parallel region
     has joined, {!spans} merges the buffers deterministically in
     domain-id order. *)
+
+type args = ..
+(** The payload of an {!Explain} instant. {!Trace} adds the explain
+    events to it, so Span stores them without depending on their type. *)
 
 type kind =
   | Analyze  (** one whole [Analyze.run] *)
@@ -39,6 +45,9 @@ type kind =
   | Request
       (** one whole daemon request (serve): the root every other span of
           a request-scoped capture nests under *)
+  | Explain of args
+      (** instant: one explain step, recorded only by an explain-on
+          profiler (see {!explain}) *)
 
 val kind_name : kind -> string
 (** Stable slug, e.g. ["test:strong_siv"], ["queue-wait"] — the span
@@ -59,15 +68,6 @@ val dur_ns : span -> int64
 type t
 (** One domain's buffer. Not thread-safe — single-writer by design. *)
 
-val create : gc:bool -> int -> t
-(** [create ~gc domain] — a standalone buffer (tests, ad-hoc use).
-    Driver code obtains buffers through a {!profiler} instead. With
-    [gc], {!enter}/{!exit_} sample [Gc.quick_stat] and store the
-    minor/major word deltas on the span. *)
-
-val domain : t -> int
-val length : t -> int
-
 val enter : t -> kind -> int
 (** Open a span: records the begin timestamp, parents it under the
     innermost open span, returns the slot to pass to {!exit_}. *)
@@ -82,6 +82,15 @@ val record : t -> kind -> t0_ns:int64 -> t1_ns:int64 -> unit
     test kernels itself and reports them after the fact). Parented
     under the innermost open span. *)
 
+val explaining : t option -> bool
+(** Whether {!explain} records into this buffer. Emission sites test it
+    before building a payload, so a run without explain allocates
+    nothing for it. *)
+
+val explain : t option -> args -> unit
+(** Record one explain step as an {!Explain} instant under the innermost
+    open span; a no-op unless {!explaining}. *)
+
 val with_ : t option -> kind -> (unit -> 'a) -> 'a
 (** [with_ (Some b) k f] runs [f] inside an [enter]/[exit_] bracket
     (exception-safe); [with_ None k f] is [f ()] — no clock read, no
@@ -90,8 +99,9 @@ val with_ : t option -> kind -> (unit -> 'a) -> 'a
 type profiler
 (** The shared registry of per-domain buffers for one profiled run. *)
 
-val profiler : ?gc:bool -> unit -> profiler
-(** [gc] (default off) turns on Gc word-delta sampling in every buffer. *)
+val profiler : ?gc:bool -> ?explain:bool -> unit -> profiler
+(** [gc] (default off) turns on Gc word-delta sampling in every buffer;
+    [explain] (default off) turns on {!explain} recording. *)
 
 val buffer : profiler -> domain:int -> t
 (** The buffer for [domain], created on first request. Safe to call from

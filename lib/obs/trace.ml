@@ -1,7 +1,12 @@
 type verdict = Independent | Dependent | Inconclusive
 
 type event =
-  | Pair_start of { array : string; src_stmt : int; snk_stmt : int }
+  | Pair_start of {
+      array : string;
+      src_stmt : int;
+      snk_stmt : int;
+      site : int;
+    }
   | Partitioned of {
       dims : int;
       nonlinear : int;
@@ -20,75 +25,71 @@ type event =
   | Verdict of { independent : bool; reason : string }
   | Note of string
 
-(* one emitted event: instant by construction ([dur_ns = 0]); when a
-   {!scope} closes, the scope's opening event receives the elapsed time
-   as its duration, putting trace events on the same clock axis as the
-   {!Span} timeline *)
-type cell = {
-  depth : int;
-  ts_ns : int64;
-  mutable dur_ns : int64;
-  ev : event;
-}
+type Span.args += Step of event
 
-type sink = {
-  mutable rev_events : cell list;  (* newest first *)
-  mutable depth : int;
-  mutable count : int;
-}
+type step = { depth : int; event : event; ts_ns : int64; dur_ns : int64 }
 
-let make () = { rev_events = []; depth = 0; count = 0 }
-
-let emit s ev =
-  s.rev_events <-
-    { depth = s.depth; ts_ns = Clock.now_ns (); dur_ns = 0L; ev }
-    :: s.rev_events;
-  s.count <- s.count + 1
-
-let scope s f =
-  (* the most recent event opened this scope: when the scope ends, it
-     gets the elapsed time as its duration *)
-  let opener = match s.rev_events with [] -> None | c :: _ -> Some c in
-  s.depth <- s.depth + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      s.depth <- s.depth - 1;
-      match opener with
-      | Some c -> c.dur_ns <- Int64.sub (Clock.now_ns ()) c.ts_ns
-      | None -> ())
-    f
-
-let cells s = List.rev s.rev_events
-
-let events_with_depth s =
-  List.rev_map (fun (c : cell) -> (c.depth, c.ev)) s.rev_events
-
-let events s = List.rev_map (fun (c : cell) -> c.ev) s.rev_events
-
-let events_timed s =
-  List.map (fun (c : cell) -> (c.ev, c.ts_ns, c.dur_ns)) (cells s)
-
-type node = { event : event; children : node list }
-
-let tree s =
-  (* events are depth-tagged and ordered; a node's children are the
-     following events one level deeper, up to the next event at its own
-     depth or shallower *)
-  let rec build depth evs =
-    match evs with
-    | (d, ev) :: rest when d = depth ->
-        let children, rest = build (depth + 1) rest in
-        let siblings, rest = build depth rest in
-        ({ event = ev; children } :: siblings, rest)
-    | (d, _) :: _ when d > depth ->
-        (* nested events with no parent at this depth (sub-driver entry
-           points): adopt them one level down *)
-        let children, rest = build (depth + 1) evs in
-        let siblings, rest = build depth rest in
-        (children @ siblings, rest)
-    | _ -> ([], evs)
+let steps ?routine (spans : Span.span array) =
+  let n = Array.length spans in
+  let kind i = spans.(i).Span.kind and parent i = spans.(i).Span.parent in
+  let rec depth i =
+    if i < 0 then 0
+    else
+      match kind i with
+      | Span.Pair | Span.Delta -> 1 + depth (parent i)
+      | _ -> depth (parent i)
   in
-  fst (build 0 (events_with_depth s))
+  let rec owner i =
+    if i < 0 then -1
+    else
+      match kind i with
+      | Span.Analyze | Span.Shard -> i
+      | _ -> owner (parent i)
+  in
+  let routines = List.filter (fun a -> owner a = a) (List.init n Fun.id) in
+  (* a worker domain of a parallel run has no Analyze ancestor: its
+     pairs belong to the run whose interval contains them *)
+  let routine_of i =
+    let t = spans.(i).Span.t0_ns in
+    let within a = spans.(a).Span.t0_ns <= t && t <= spans.(a).Span.t1_ns in
+    match owner (parent i) with
+    | -1 -> Option.value (List.find_opt within routines) ~default:(-1)
+    | r -> r
+  in
+  (* an opener is recorded just before the region it opens and lasts
+     until that region closes *)
+  let opens i = i + 1 < n && List.mem (kind (i + 1)) [ Span.Pair; Span.Delta ] in
+  let dur i = function
+    | (Pair_start _ | Group_start _) when opens i ->
+        Int64.sub spans.(i + 1).Span.t1_ns spans.(i).Span.t0_ns
+    | _ -> 0L
+  in
+  (* each domain runs its pairs one at a time, so a pair's subtree is
+     its Pair_start and everything its buffer records up to the next
+     one; [groups] is newest first *)
+  let groups = ref [] in
+  for i = 0 to n - 1 do
+    match (kind i, !groups) with
+    | Span.Explain (Step event), gs ->
+        let s = spans.(i) in
+        let step =
+          { depth = depth s.Span.parent; event; ts_ns = s.Span.t0_ns;
+            dur_ns = dur i event }
+        in
+        groups :=
+          (match (event, gs) with
+          | Pair_start { site; _ }, _ ->
+              ((routine_of i, site), s.Span.domain, [ step ]) :: gs
+          | _, (key, d, g) :: rest when d = s.Span.domain ->
+              (key, d, step :: g) :: rest
+          | _ -> ((routine_of i, -1), s.Span.domain, [ step ]) :: gs)
+    | _ -> ()
+  done;
+  let keep = Option.map (List.nth routines) routine in
+  List.rev !groups
+  |> List.filter (fun ((r, _), _, _) -> keep = None || keep = Some r)
+  |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b)
+  |> List.concat_map (fun (_, _, g) -> List.rev g)
 
 (* ------------------------------------------------------------------ *)
 (* rendering                                                           *)
@@ -99,7 +100,7 @@ let verdict_name = function
   | Inconclusive -> "inconclusive"
 
 let pp_event ppf = function
-  | Pair_start { array; src_stmt; snk_stmt } ->
+  | Pair_start { array; src_stmt; snk_stmt; _ } ->
       Format.fprintf ppf "pair %s S%d -> S%d" array src_stmt snk_stmt
   | Partitioned { dims; nonlinear; separable; coupled_groups } ->
       Format.fprintf ppf
@@ -122,11 +123,12 @@ let pp_event ppf = function
         reason
   | Note s -> Format.pp_print_string ppf s
 
-let pp_tree ppf s =
+let pp_tree ?routine ppf spans =
   List.iter
-    (fun (depth, ev) ->
-      Format.fprintf ppf "%s%a@." (String.make (2 * depth) ' ') pp_event ev)
-    (events_with_depth s)
+    (fun s ->
+      Format.fprintf ppf "%s%a@." (String.make (2 * s.depth) ' ') pp_event
+        s.event)
+    (steps ?routine spans)
 
 (* ------------------------------------------------------------------ *)
 (* JSONL export                                                        *)
@@ -141,12 +143,13 @@ let event_to_json ~seq ~depth ?(ts_ns = 0L) ?(dur_ns = 0L) ev =
       :: fields)
   in
   match ev with
-  | Pair_start { array; src_stmt; snk_stmt } ->
+  | Pair_start { array; src_stmt; snk_stmt; site } ->
       base "pair_start"
         [
           ("array", Json.String array);
           ("src_stmt", Json.Int src_stmt);
           ("snk_stmt", Json.Int snk_stmt);
+          ("site", Json.Int site);
         ]
   | Partitioned { dims; nonlinear; separable; coupled_groups } ->
       base "partitioned"
@@ -183,17 +186,20 @@ let event_to_json ~seq ~depth ?(ts_ns = 0L) ?(dur_ns = 0L) ev =
         ]
   | Note s -> base "note" [ ("text", Json.String s) ]
 
-let to_jsonl s =
+let to_jsonl spans =
+  let steps = steps spans in
   let buf = Buffer.create 4096 in
-  (* timestamps are relative to the first event, so the artifact is
+  (* timestamps are relative to the earliest step, so the artifact is
      stable to read and diff across runs *)
-  let t0 = match cells s with [] -> 0L | (c : cell) :: _ -> c.ts_ns in
+  let t0 =
+    List.fold_left (fun t s -> min t s.ts_ns) Int64.max_int steps
+  in
   List.iteri
-    (fun seq (c : cell) ->
+    (fun seq s ->
       Buffer.add_string buf
         (Json.to_string
-           (event_to_json ~seq ~depth:c.depth
-              ~ts_ns:(Int64.sub c.ts_ns t0) ~dur_ns:c.dur_ns c.ev));
+           (event_to_json ~seq ~depth:s.depth
+              ~ts_ns:(Int64.sub s.ts_ns t0) ~dur_ns:s.dur_ns s.event));
       Buffer.add_char buf '\n')
-    (cells s);
+    steps;
   Buffer.contents buf

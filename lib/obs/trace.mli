@@ -1,9 +1,12 @@
-(** Structured tracing for the dependence-test driver.
+(** The explain vocabulary of the dependence-test driver and its two
+    renderings.
 
     The driver ([Analyze] / [Pair_test] / [Delta] in the core library)
-    threads an optional {!sink} through every reference-pair test. Each
-    step emits one typed {!event}; nesting is tracked by {!scope}, so the
-    flat event sequence reconstructs into a {!node} tree:
+    records one typed {!event} per step as a {!Span.Explain} instant
+    ({!Step}) in the emitting worker's span buffer; nothing is
+    recorded unless the {!Span.profiler} was created with
+    [~explain:true]. The nesting comes from the enclosing spans: one
+    level per enclosing {!Span.Pair} or {!Span.Delta} span.
 
     {v
     pair A S1 -> S2                         (Pair_start, from Analyze)
@@ -14,11 +17,7 @@
         ZIV test <N, N>: inconclusive — ... (Test)
         constraint on I: ...                (Constraint)
       verdict: dependent — ...              (Verdict, from Analyze)
-    v}
-
-    Tracing disabled means the sink is [None] end to end: the driver
-    checks the option once per pair and builds no event (and allocates
-    nothing) when absent. *)
+    v} *)
 
 type verdict = Independent | Dependent | Inconclusive
 (** Per-test outcome: [Inconclusive] is a test that neither proved
@@ -26,8 +25,14 @@ type verdict = Independent | Dependent | Inconclusive
     (e.g. a GCD test that "may" depend). *)
 
 type event =
-  | Pair_start of { array : string; src_stmt : int; snk_stmt : int }
-      (** one reference pair enters the driver *)
+  | Pair_start of {
+      array : string;
+      src_stmt : int;
+      snk_stmt : int;
+      site : int;
+    }
+      (** one reference pair enters the driver; [site] is its index in
+          [Analyze.sites] order, which orders the rendering *)
   | Partitioned of {
       dims : int;
       nonlinear : int;
@@ -49,45 +54,42 @@ type event =
       (** final per-pair verdict *)
   | Note of string  (** free-form step (propagation, refinements) *)
 
-type sink
+type Span.args += Step of event
+(** How an event travels as a {!Span.Explain} payload:
+    [Span.explain spans (Step ev)]. *)
 
-val make : unit -> sink
-val emit : sink -> event -> unit
+type step = {
+  depth : int;  (** enclosing {!Span.Pair} and {!Span.Delta} spans *)
+  event : event;
+  ts_ns : int64;  (** absolute {!Clock.now_ns} sample at emission *)
+  dur_ns : int64;
+      (** for [Pair_start] and [Group_start], the time until the pair or
+          Delta span that follows it closes; [0] otherwise *)
+}
 
-val scope : sink -> (unit -> 'a) -> 'a
-(** Run the thunk one nesting level deeper: events it emits become
-    children of the most recent event. Exception-safe. *)
-
-val events : sink -> event list
-(** All events in emission order. *)
-
-val events_with_depth : sink -> (int * event) list
-
-val events_timed : sink -> (event * int64 * int64) list
-(** [(event, ts_ns, dur_ns)] in emission order. [ts_ns] is the absolute
-    {!Clock.now_ns} sample at emission (same clock as {!Span});
-    [dur_ns] is [0] for instant events and the elapsed scope time for
-    events that opened a {!scope}. *)
-
-type node = { event : event; children : node list }
-
-val tree : sink -> node list
-(** Reconstruct the trace forest (one root per [Pair_start] — or per
-    top-level event when the driver is called below [Analyze]). *)
+val steps : ?routine:int -> Span.span array -> step list
+(** The explain steps of a merged {!Span.spans} array, in pair order.
+    A pair's subtree is its [Pair_start] and the steps its worker
+    recorded after it; subtrees are ordered by routine, then by [site],
+    whichever domain ran them. A pair's routine is its nearest
+    {!Span.Analyze} or {!Span.Shard} ancestor, or, on a worker domain of
+    a parallel [Analyze.run], the {!Span.Analyze} span whose interval
+    contains it. [routine = k] keeps only the pairs of the [k]-th
+    Analyze or Shard span of the array (from 0; one per [Analyze.run]
+    on the calling domain, in run order). *)
 
 val pp_event : Format.formatter -> event -> unit
 
-val pp_tree : Format.formatter -> sink -> unit
-(** The human-readable explain rendering: one line per event, indented
-    two spaces per nesting level. *)
+val pp_tree : ?routine:int -> Format.formatter -> Span.span array -> unit
+(** The human-readable explain rendering of {!steps}: one line per step,
+    indented two spaces per nesting level. *)
 
 val event_to_json :
   seq:int -> depth:int -> ?ts_ns:int64 -> ?dur_ns:int64 -> event -> Json.t
 
-val to_jsonl : sink -> string
-(** One JSON object per line per event, in emission order
-    ([deptest-trace/2]). Every line has ["seq"], ["depth"], ["type"],
-    ["ts_ns"] (nanoseconds since the sink's first event, monotonic
-    clock shared with {!Span}), and ["dur_ns"] (scope duration for
-    events that opened one, [0] otherwise); the remaining fields mirror
-    the event payload (see README). *)
+val to_jsonl : Span.span array -> string
+(** One JSON object per line per step of {!steps}, in that order
+    ([deptest-trace/2]). Every line has ["seq"] (unique, from 0),
+    ["depth"], ["type"], ["ts_ns"] (nanoseconds since the earliest step,
+    monotonic clock shared with {!Span}), and ["dur_ns"]; the remaining
+    fields mirror the event payload (see README). *)

@@ -160,6 +160,29 @@ let run ~socket ?(jobs = 0) ?cache_dir ?cache_capacity ?sample_period
           Hashtbl.remove pending_set fd;
           close_quiet fd
         in
+        (* a hung-up connection is readable too, and queued like a
+           request: before such entries could make admission shed, drop
+           them. Only that path peeks, so an admitted request costs no
+           extra syscall. *)
+        let peek = Bytes.create 1 in
+        let hung_up fd =
+          match Unix.recv fd peek 0 1 [ Unix.MSG_PEEK ] with
+          | n -> n = 0
+          | exception Unix.Unix_error (e, _, _) ->
+              e <> Unix.EINTR && e <> Unix.EAGAIN
+        in
+        let depth () =
+          (match max_inflight with
+          | Some limit when limit > 0 && Queue.length pending >= limit ->
+              let queued = Queue.copy pending in
+              Queue.clear pending;
+              Queue.iter
+                (fun ((fd, _) as e) ->
+                  if hung_up fd then drop fd else Queue.add e pending)
+                queued
+          | _ -> ());
+          Queue.length pending + 1
+        in
         (* pop the next queued request and serve it whole, with the
            queue state it experienced as its admission context *)
         let serve_next () =
@@ -170,7 +193,7 @@ let run ~socket ?(jobs = 0) ?cache_dir ?cache_capacity ?sample_period
               if List.mem fd !clients then begin
                 let admission =
                   {
-                    Engine.depth = Queue.length pending + 1;
+                    Engine.depth = depth ();
                     waited_ns =
                       Int64.sub (Dt_obs.Metrics.now_ns ()) enqueued_ns;
                   }

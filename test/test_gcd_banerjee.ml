@@ -257,9 +257,10 @@ let test_combo_cap () =
   let p = spair (sum 1 0) (sum 2 1) in
   let dirs = List.map (fun i -> (i, None)) idxs in
   let m = Dt_obs.Metrics.create () in
-  let s = Dt_obs.Trace.make () in
+  let profiler = Dt_obs.Span.profiler ~explain:true () in
+  let spans = Dt_obs.Span.buffer profiler ~domain:0 in
   check Alcotest.bool "cap assumes feasible" true
-    (Deptest.Banerjee.feasible ~metrics:m ~sink:s assume range p ~dirs);
+    (Deptest.Banerjee.feasible ~metrics:m ~spans assume range p ~dirs);
   check Alcotest.bool "Reference agrees" true
     (Deptest.Banerjee.Reference.feasible assume range p ~dirs);
   check Alcotest.int "cap fallback counted" 1 (Dt_obs.Metrics.banerjee_caps m);
@@ -274,10 +275,11 @@ let test_combo_cap () =
   in
   check Alcotest.bool "trace note emitted" true
     (List.exists
-       (function
+       (fun s ->
+         match s.Dt_obs.Trace.event with
          | Dt_obs.Trace.Note n -> contains ~affix:"capped" n
          | _ -> false)
-       (Dt_obs.Trace.events s))
+       (Dt_obs.Trace.steps (Dt_obs.Span.spans profiler)))
 
 let test_below_cap_exact () =
   (* six coupled indices stay under the cap (4^6 = 4096 is not > cap):

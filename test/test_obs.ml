@@ -1,5 +1,5 @@
 (* The observability layer (Dt_obs): test-kind ids, JSON round-trips,
-   the metrics registry, and the trace tree emitted by the driver. *)
+   the metrics registry, and the explain tree recorded by the driver. *)
 
 open Dt_ir
 open Helpers
@@ -182,48 +182,61 @@ let test_metrics_json_roundtrip () =
 
 (* --- Trace ------------------------------------------------------------- *)
 
+(* an explain-on profiler and its domain-0 buffer *)
+let explainer () =
+  let p = Dt_obs.Span.profiler ~explain:true () in
+  (p, Some (Dt_obs.Span.buffer p ~domain:0))
+
+let note b s = Dt_obs.Span.explain b (Dt_obs.Trace.Step (Note s))
+
+let depths p =
+  List.map
+    (fun s -> s.Dt_obs.Trace.depth)
+    (Dt_obs.Trace.steps (Dt_obs.Span.spans p))
+
+let events p =
+  List.map
+    (fun s -> s.Dt_obs.Trace.event)
+    (Dt_obs.Trace.steps (Dt_obs.Span.spans p))
+
+(* explain depth is the number of enclosing Pair / Delta spans *)
 let test_trace_scope_depth () =
-  let sk = Dt_obs.Trace.make () in
-  Dt_obs.Trace.emit sk (Dt_obs.Trace.Note "root");
-  Dt_obs.Trace.scope sk (fun () ->
-      Dt_obs.Trace.emit sk (Dt_obs.Trace.Note "child");
-      Dt_obs.Trace.scope sk (fun () ->
-          Dt_obs.Trace.emit sk (Dt_obs.Trace.Note "grandchild")));
-  Dt_obs.Trace.emit sk (Dt_obs.Trace.Note "root2");
-  check
-    Alcotest.(list int)
-    "depths" [ 0; 1; 2; 0 ]
-    (List.map fst (Dt_obs.Trace.events_with_depth sk));
-  match Dt_obs.Trace.tree sk with
-  | [ r1; r2 ] ->
-      check Alcotest.int "r1 children" 1 (List.length r1.Dt_obs.Trace.children);
-      check Alcotest.int "r2 children" 0 (List.length r2.Dt_obs.Trace.children)
-  | l -> Alcotest.fail (Printf.sprintf "expected 2 roots, got %d" (List.length l))
+  let p, b = explainer () in
+  note b "root";
+  Dt_obs.Span.with_ b Dt_obs.Span.Pair (fun () ->
+      note b "child";
+      Dt_obs.Span.with_ b Dt_obs.Span.Banerjee (fun () ->
+          Dt_obs.Span.with_ b Dt_obs.Span.Delta (fun () ->
+              note b "grandchild")));
+  note b "root2";
+  check Alcotest.(list int) "depths" [ 0; 1; 2; 0 ] (depths p);
+  check Alcotest.string "tree rendering"
+    "root\n  child\n    grandchild\nroot2\n"
+    (Format.asprintf "%a"
+       (fun ppf -> Dt_obs.Trace.pp_tree ppf)
+       (Dt_obs.Span.spans p))
 
 let test_trace_scope_exception_safe () =
-  let sk = Dt_obs.Trace.make () in
+  let p, b = explainer () in
   (try
-     Dt_obs.Trace.scope sk (fun () ->
-         Dt_obs.Trace.emit sk (Dt_obs.Trace.Note "in");
+     Dt_obs.Span.with_ b Dt_obs.Span.Pair (fun () ->
+         note b "in";
          failwith "boom")
    with Failure _ -> ());
-  Dt_obs.Trace.emit sk (Dt_obs.Trace.Note "after");
-  check
-    Alcotest.(list int)
-    "depth restored" [ 1; 0 ]
-    (List.map fst (Dt_obs.Trace.events_with_depth sk))
+  note b "after";
+  check Alcotest.(list int) "depth restored" [ 1; 0 ] (depths p)
 
 (* a strong-SIV pair must produce exactly one Strong_siv test event with
    the explain-why reason *)
 let strong_siv_events ~src_c =
-  let sink = Dt_obs.Trace.make () in
+  let p, spans = explainer () in
   let loops = loops1 ~hi:100 () in
   let src = Aref.linear "A" [ av ~c:src_c i0 ] in
   let snk = Aref.linear "A" [ av i0 ] in
   let r =
-    Deptest.Pair_test.test ~sink ~src:(src, loops) ~snk:(snk, loops) ()
+    Deptest.Pair_test.test ?spans ~src:(src, loops) ~snk:(snk, loops) ()
   in
-  (r, Dt_obs.Trace.events sink)
+  (r, events p)
 
 let test_trace_strong_siv_independent () =
   let r, events = strong_siv_events ~src_c:200 in
@@ -266,19 +279,23 @@ let test_trace_strong_siv_dependent () =
 let test_trace_delta_group_nested () =
   (* A(I+1, I+2) vs A(I, I): coupled group, Delta proves independence via
      contradictory distance constraints *)
-  let sink = Dt_obs.Trace.make () in
+  let p, spans = explainer () in
   let loops = loops1 ~hi:100 () in
   let src = Aref.linear "A" [ av ~c:1 i0; av ~c:2 i0 ] in
   let snk = Aref.linear "A" [ av i0; av i0 ] in
   let r =
-    Deptest.Pair_test.test ~sink ~src:(src, loops) ~snk:(snk, loops) ()
+    Deptest.Pair_test.test ?spans ~src:(src, loops) ~snk:(snk, loops) ()
   in
   check Alcotest.bool "independent" true
     (r.Deptest.Pair_test.result = `Independent);
   check Alcotest.bool "proved by Delta" true
     (r.Deptest.Pair_test.meta.Deptest.Pair_test.proved_by
     = Some Dt_obs.Test_kind.Delta_test);
-  let events = Dt_obs.Trace.events_with_depth sink in
+  let events =
+    List.map
+      (fun s -> (s.Dt_obs.Trace.depth, s.Dt_obs.Trace.event))
+      (Dt_obs.Trace.steps (Dt_obs.Span.spans p))
+  in
   check Alcotest.bool "has a coupled Group_start" true
     (List.exists
        (function _, Dt_obs.Trace.Group_start _ -> true | _ -> false)
@@ -299,13 +316,13 @@ let test_trace_delta_group_nested () =
   | _ -> Alcotest.fail "missing Group_start or Pass event"
 
 let test_trace_jsonl_parses () =
-  let sink = Dt_obs.Trace.make () in
+  let p, spans = explainer () in
   let loops = loops1 ~hi:100 () in
   let src = Aref.linear "A" [ av ~c:1 i0; av ~c:2 i0 ] in
   let snk = Aref.linear "A" [ av i0; av i0 ] in
-  ignore (Deptest.Pair_test.test ~sink ~src:(src, loops) ~snk:(snk, loops) ());
+  ignore (Deptest.Pair_test.test ?spans ~src:(src, loops) ~snk:(snk, loops) ());
   let lines =
-    String.split_on_char '\n' (Dt_obs.Trace.to_jsonl sink)
+    String.split_on_char '\n' (Dt_obs.Trace.to_jsonl (Dt_obs.Span.spans p))
     |> List.filter (fun l -> l <> "")
   in
   check Alcotest.bool "nonempty" true (lines <> []);
@@ -338,16 +355,16 @@ let test_trace_analyze_verdicts () =
     | [ p ] -> p
     | _ -> Alcotest.fail "expected one routine"
   in
-  let sink = Dt_obs.Trace.make () in
+  let profiler = Dt_obs.Span.profiler ~explain:true () in
   let metrics = Dt_obs.Metrics.create () in
   (* cache off: the assertions below want the full test narrative, not
      a memo-cache note *)
   let r =
     Deptest.Analyze.run
-      (Deptest.Analyze.Config.make ~metrics ~sink ~cache:false ())
+      (Deptest.Analyze.Config.make ~metrics ~profiler ~cache:false ())
       prog
   in
-  let events = Dt_obs.Trace.events sink in
+  let events = events profiler in
   let count f = List.length (List.filter f events) in
   let pairs = List.length r.Deptest.Analyze.pairs in
   check Alcotest.bool "tested some pairs" true (pairs > 0);
@@ -364,6 +381,33 @@ let test_trace_analyze_verdicts () =
         (Deptest.Counters.applied r.Deptest.Analyze.counters k)
         (Dt_obs.Metrics.applied metrics k))
     Deptest.Counters.all_kinds
+
+(* explain is a per-pair narrative merged in pair order: the rendering
+   does not depend on how many domains tested the pairs *)
+let test_explain_jobs_invariant () =
+  let explain jobs prog =
+    let profiler = Dt_obs.Span.profiler ~explain:true () in
+    ignore
+      (Deptest.Analyze.run
+         (Deptest.Analyze.Config.make ~jobs ~profiler ~cache:false ())
+         prog);
+    Format.asprintf "%a"
+      (fun ppf -> Dt_obs.Trace.pp_tree ppf)
+      (Dt_obs.Span.spans profiler)
+  in
+  List.iter
+    (fun (e : Dt_workloads.Corpus.entry) ->
+      List.iter
+        (fun prog ->
+          let one = explain 1 prog in
+          List.iter
+            (fun jobs ->
+              check Alcotest.string
+                (Printf.sprintf "%s/%s jobs=%d" e.suite e.name jobs)
+                one (explain jobs prog))
+            [ 2; 4 ])
+        (Dt_workloads.Corpus.programs e))
+    Dt_workloads.Corpus.all
 
 let suite =
   [
@@ -395,4 +439,6 @@ let suite =
       test_trace_jsonl_parses;
     Alcotest.test_case "analyze emits pair spans; metrics agree" `Quick
       test_trace_analyze_verdicts;
+    Alcotest.test_case "explain identical at jobs 1, 2, 4" `Quick
+      test_explain_jobs_invariant;
   ]

@@ -633,6 +633,55 @@ let test_server_sheds_structured () =
     (saturation_field health "shed");
   Unix.close fd
 
+(* a connection that reaches end-of-stream turns readable and is queued
+   like a request, but it is none: admission must not count it. D's
+   half-sent frame holds the daemon in its read while B and C hang up
+   and A's request arrives, so the next select sees all three at once
+   and queues A ahead of the two closed connections. *)
+let test_server_closed_not_counted () =
+  let baseline = in_process_output () in
+  let sock = Filename.concat (tmpdir ()) "eof.sock" in
+  let stop = Atomic.make false in
+  let d = start_server ~max_inflight:1 sock stop in
+  wait_for_ping sock;
+  Fun.protect ~finally:(fun () ->
+      Atomic.set stop true;
+      check int "clean shutdown" 0 (Domain.join d))
+  @@ fun () ->
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    (* the reply proves the daemon accepted it *)
+    ignore (request_over fd Protocol.Health);
+    fd
+  in
+  let b = connect () in
+  let c = connect () in
+  let a = connect () in
+  let dfd = connect () in
+  let payload = Json.to_string (Protocol.request_to_json Protocol.Health) in
+  let frame = Bytes.create (4 + String.length payload) in
+  Bytes.set_int32_be frame 0 (Int32.of_int (String.length payload));
+  Bytes.blit_string payload 0 frame 4 (String.length payload);
+  ignore (Unix.write dfd frame 0 1);
+  Unix.sleepf 0.05;
+  Unix.close b;
+  Unix.close c;
+  Frame.write a (Json.to_string (Protocol.request_to_json (analyze ())));
+  ignore (Unix.write dfd frame 1 (Bytes.length frame - 1));
+  check bool "the held connection is answered" true (Frame.read dfd <> None);
+  let resp =
+    match Frame.read a with
+    | Some payload -> Result.get_ok (Json.of_string payload)
+    | None -> Alcotest.fail "request dropped"
+  in
+  check bool "not shed" true (Protocol.retry_after_of resp = None);
+  check string "answer is byte-identical" baseline (output_of resp);
+  check int "nothing shed" 0
+    (saturation_field (request_over a Protocol.Health) "shed");
+  Unix.close a;
+  Unix.close dfd
+
 let suite =
   [
     Alcotest.test_case "frame dribbled bytes" `Quick test_frame_dribble;
@@ -667,4 +716,6 @@ let suite =
       test_chaos_sites_end_to_end;
     Alcotest.test_case "overload sheds structured" `Quick
       test_server_sheds_structured;
+    Alcotest.test_case "closed connections are not queued requests" `Quick
+      test_server_closed_not_counted;
   ]

@@ -280,26 +280,30 @@ let test_folded_export_roundtrip () =
 (* --- trace timestamps (deptest-trace/2) --------------------------------- *)
 
 let test_trace_timestamps () =
-  let sink = Dt_obs.Trace.make () in
-  (* the most recent event before [scope] becomes the scope opener and
-     receives the scope's duration when it closes *)
-  Dt_obs.Trace.emit sink (Dt_obs.Trace.Note "opener");
-  ignore
-    (Dt_obs.Trace.scope sink (fun () ->
-         Dt_obs.Trace.emit sink (Dt_obs.Trace.Note "inner");
-         ()));
-  let timed = Dt_obs.Trace.events_timed sink in
+  let p = Span.profiler ~explain:true () in
+  let b = Some (Span.buffer p ~domain:0) in
+  (* an opener recorded just before the region it opens receives the
+     region's duration *)
+  Span.explain b
+    (Dt_obs.Trace.Step
+       (Pair_start { array = "A"; src_stmt = 0; snk_stmt = 1; site = 0 }));
+  Span.with_ b Span.Pair (fun () ->
+      Span.explain b (Dt_obs.Trace.Step (Note "inner")));
+  let spans = Span.spans p in
+  let timed = Dt_obs.Trace.steps spans in
   check int "two events" 2 (List.length timed);
-  let ts = List.map (fun (_, t, _) -> t) timed in
+  let ts = List.map (fun s -> s.Dt_obs.Trace.ts_ns) timed in
   check bool "timestamps monotone" true (List.sort compare ts = ts);
   (match timed with
-  | [ (_, t_open, d_open); (_, t_inner, d_inner) ] ->
+  | [ o; i ] ->
       check bool "opener carries the scope duration" true
-        (Int64.add t_open d_open >= t_inner);
-      check bool "inner note has no duration" true (d_inner = 0L)
+        (Int64.add o.Dt_obs.Trace.ts_ns o.Dt_obs.Trace.dur_ns
+        >= i.Dt_obs.Trace.ts_ns);
+      check bool "inner note has no duration" true
+        (i.Dt_obs.Trace.dur_ns = 0L)
   | _ -> Alcotest.fail "expected two events");
   (* the JSONL schema: seq, depth, type, ts_ns, dur_ns on every line *)
-  let jsonl = Dt_obs.Trace.to_jsonl sink in
+  let jsonl = Dt_obs.Trace.to_jsonl spans in
   List.iter
     (fun line ->
       if line <> "" then
