@@ -873,9 +873,10 @@ let serve_cmd =
       & opt (some string) None
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:
-            "Directory for the persistent verdict cache: versioned, \
-             fingerprinted segments written atomically; corrupt or stale \
-             segments are skipped (counted in the metrics) and rebuilt.")
+            "Directory for the persistent response cache (one rendered \
+             answer per distinct source): versioned, fingerprinted \
+             segments written atomically; corrupt or stale segments are \
+             skipped (counted in the metrics) and rebuilt.")
   in
   let cache_capacity_arg =
     Arg.(

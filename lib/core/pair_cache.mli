@@ -23,20 +23,16 @@
     The table is domain-safe (see {!Dt_engine.Memo}); concurrent workers
     of the parallel engine share one cache.
 
-    Disk tier: with [?disk] the cache is two-tiered — a memo miss falls
-    through to the {!Dt_engine.Store} under key ["p:" ^ canonical-key],
-    a disk hit is validated (an undecodable payload counts invalid, is
-    removed, and the pair recomputes cold), promoted into the memo, and
-    rehydrated exactly like a memo hit; every store writes through to
-    disk. Degraded verdicts are filtered again at this layer: they are
-    never persisted, even if a caller were to hand one in. *)
+    The cache lives only as long as its process. Pair verdicts are not
+    persisted: the paper's cheap exact tests settle a pair faster than a
+    disk entry can be decoded, so the serve daemon persists whole
+    rendered responses instead (see [Dt_serve.Engine]). *)
 
 type t
 
-val create : ?capacity:int -> ?disk:Dt_engine.Store.t -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** [capacity] bounds the resident entries (FIFO eviction past it, see
-    {!Dt_engine.Memo}); omitted means unbounded. [disk] adds the
-    persistent write-through tier. *)
+    {!Dt_engine.Memo}); omitted means unbounded. *)
 
 val find : t -> Dt_engine.Key.t -> counters:Counters.t -> Pair_test.t option
 (** On a hit, returns the rehydrated result and replays the entry's
@@ -53,12 +49,3 @@ val length : t -> int
 
 val evictions : t -> int
 (** Entries dropped by capacity eviction. *)
-
-val disk_hits : t -> int
-val disk_misses : t -> int
-
-val disk_invalid : t -> int
-(** Disk-tier statistics; all zero without a [disk] store. *)
-
-val flush : t -> int
-(** Persist the disk tier ({!Dt_engine.Store.flush}); [0] without one. *)

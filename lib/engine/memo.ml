@@ -54,7 +54,6 @@ let length t = locked t (fun () -> Hashtbl.length t.table)
 let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)
 let evictions t = locked t (fun () -> t.evictions)
-let capacity t = t.capacity
 
 let hit_rate t =
   locked t (fun () ->

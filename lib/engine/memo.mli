@@ -30,8 +30,6 @@ val misses : 'v t -> int
 val evictions : 'v t -> int
 (** Entries dropped by capacity eviction since creation. *)
 
-val capacity : 'v t -> int option
-
 val hit_rate : 'v t -> float
 (** [hits / (hits + misses)]; [0.] before any lookup. *)
 

@@ -1,13 +1,13 @@
 module Json = Dt_obs.Json
 
-let schema_version = "deptest-diskcache/1"
+let schema_version = "deptest-diskcache/2"
 
 type t = {
   dir : string;
   fingerprint : string;
   capacity : int option;
   tbl : (string, Json.t) Hashtbl.t;
-  queue : string Queue.t;  (* insertion order, for FIFO eviction *)
+  queue : string Queue.t;  (* the resident keys in insertion order *)
   mutable segs : int list;  (* segment numbers on disk, ascending *)
   mutable next_seg : int;
   mutable dirty : bool;  (* resident set changed since the last flush *)
@@ -74,12 +74,11 @@ let insert t k v =
   match t.capacity with
   | None -> ()
   | Some cap ->
-      while Hashtbl.length t.tbl > cap && not (Queue.is_empty t.queue) do
-        let oldest = Queue.pop t.queue in
-        if Hashtbl.mem t.tbl oldest then begin
-          Hashtbl.remove t.tbl oldest;
-          t.evictions <- t.evictions + 1
-        end
+      (* the queue holds exactly the resident keys, so the oldest slot
+         always names a live entry *)
+      while Hashtbl.length t.tbl > cap do
+        Hashtbl.remove t.tbl (Queue.pop t.queue);
+        t.evictions <- t.evictions + 1
       done
 
 let load t =
@@ -143,7 +142,6 @@ let open_ ~dir ~fingerprint ?capacity () =
   t
 
 let dir t = t.dir
-let fingerprint t = t.fingerprint
 
 let find t k =
   locked t @@ fun () ->
@@ -161,25 +159,24 @@ let remove t k =
   locked t @@ fun () ->
   if Hashtbl.mem t.tbl k then begin
     Hashtbl.remove t.tbl k;
+    (* drop its queue slot too: a re-add must queue it as the newest *)
+    let live = Queue.create () in
+    Queue.iter (fun k' -> if k' <> k then Queue.add k' live) t.queue;
+    Queue.clear t.queue;
+    Queue.transfer live t.queue;
     t.dirty <- true
   end
 
 let note_invalid t = locked t @@ fun () -> t.invalid <- t.invalid + 1
 
+(* over the resident entries in insertion order; call under the lock *)
+let fold_resident t ~init ~f =
+  Queue.fold (fun acc k -> f acc k (Hashtbl.find t.tbl k)) init t.queue
+
 let resident_json t =
-  (* queue order = insertion order; skip evicted/removed keys *)
-  let seen = Hashtbl.create (Hashtbl.length t.tbl) in
   let entries =
-    Queue.fold
-      (fun acc k ->
-        if Hashtbl.mem seen k then acc
-        else begin
-          Hashtbl.replace seen k ();
-          match Hashtbl.find_opt t.tbl k with
-          | Some v -> Json.List [ Json.String k; v ] :: acc
-          | None -> acc
-        end)
-      [] t.queue
+    fold_resident t ~init:[] ~f:(fun acc k v ->
+        Json.List [ Json.String k; v ] :: acc)
   in
   Json.Obj
     [
@@ -214,16 +211,4 @@ let invalid t = t.invalid
 let evictions t = t.evictions
 let segments t = locked t @@ fun () -> List.length t.segs
 
-let fold t ~init ~f =
-  locked t @@ fun () ->
-  let seen = Hashtbl.create (Hashtbl.length t.tbl) in
-  Queue.fold
-    (fun acc k ->
-      if Hashtbl.mem seen k then acc
-      else begin
-        Hashtbl.replace seen k ();
-        match Hashtbl.find_opt t.tbl k with
-        | Some v -> f acc k v
-        | None -> acc
-      end)
-    init t.queue
+let fold t ~init ~f = locked t @@ fun () -> fold_resident t ~init ~f

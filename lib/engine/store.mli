@@ -1,9 +1,11 @@
-(** A disk-backed, versioned key-value store for structural verdicts.
+(** A disk-backed, versioned key-value store: the serve daemon's
+    response tier.
 
-    This is the persistence tier under the in-process memo cache: entries
-    keyed by the {!Key} canonical form (or any other string key) with
-    JSON values, held resident in one hash table and persisted as
-    numbered segment files under a cache directory. A segment carries the
+    Entries are string keys with JSON values (the daemon stores one
+    rendered response per distinct request source, keyed ["r:" ^ digest];
+    pair verdicts are not persisted, see [Deptest.Pair_cache]), held
+    resident in one hash table and persisted as numbered segment files
+    under a cache directory. A segment carries the
     store's schema version and the owning configuration's fingerprint
     (see {!Dt_report.Record.fingerprint}); loading skips — and counts as
     invalid — any segment that fails to parse, declares a different
@@ -24,7 +26,8 @@
 type t
 
 val schema_version : string
-(** ["deptest-diskcache/1"]. *)
+(** ["deptest-diskcache/2"]. Version 1 directories also held per-pair
+    verdicts under ["p:"] keys; they load as invalid, a cold start. *)
 
 val open_ : dir:string -> fingerprint:string -> ?capacity:int -> unit -> t
 (** Open (creating [dir] if needed) and load every valid segment.
@@ -34,7 +37,6 @@ val open_ : dir:string -> fingerprint:string -> ?capacity:int -> unit -> t
     [Unix.Unix_error] only for a directory that cannot be created. *)
 
 val dir : t -> string
-val fingerprint : t -> string
 
 val find : t -> string -> Dt_obs.Json.t option
 (** Bumps the hit or miss counter. *)
@@ -45,7 +47,8 @@ val add : t -> string -> Dt_obs.Json.t -> unit
 
 val remove : t -> string -> unit
 (** Drop a resident entry (e.g. one whose value failed to decode).
-    Does not count as an eviction. *)
+    Does not count as an eviction; a later {!add} of the same key
+    queues it as the newest entry. *)
 
 val note_invalid : t -> unit
 (** Count an invalid cache object found outside segment loading — a

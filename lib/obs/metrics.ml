@@ -55,7 +55,7 @@ type t = {
   mutable cache_misses : int;
   mutable cache_size : int;  (* resident memo entries, snapshot after a run *)
   mutable cache_evictions : int;  (* entries dropped by capacity eviction *)
-  (* disk-cache tier (serve daemon / cross-run store), snapshot semantics *)
+  (* the serve daemon's response store, snapshot semantics *)
   mutable disk_hits : int;
   mutable disk_misses : int;
   mutable disk_invalid : int;  (* corrupt segments / undecodable entries *)
@@ -291,7 +291,7 @@ let merge_into acc extra =
      double-count, so the merge keeps the larger snapshot *)
   acc.cache_size <- max acc.cache_size extra.cache_size;
   acc.cache_evictions <- max acc.cache_evictions extra.cache_evictions;
-  (* disk-tier counters are likewise snapshots of one shared store *)
+  (* the response-store counters are likewise snapshots of one store *)
   acc.disk_hits <- max acc.disk_hits extra.disk_hits;
   acc.disk_misses <- max acc.disk_misses extra.disk_misses;
   acc.disk_invalid <- max acc.disk_invalid extra.disk_invalid;
@@ -710,14 +710,14 @@ let to_prometheus ?(build = []) t =
     "Memo-cache entries dropped by capacity eviction.";
   int_sample "deptest_cache_evictions_total" t.cache_evictions;
   family "deptest_disk_cache_hits_total" "counter"
-    "Verdicts served by the disk-backed cross-run store.";
+    "Responses served by the daemon's disk-backed response store.";
   int_sample "deptest_disk_cache_hits_total" t.disk_hits;
   family "deptest_disk_cache_misses_total" "counter"
-    "Disk-store lookup misses.";
+    "Response-store lookup misses.";
   int_sample "deptest_disk_cache_misses_total" t.disk_misses;
   family "deptest_disk_cache_invalid_total" "counter"
-    "Invalid disk-cache objects skipped (corrupt segments, tmp leftovers, \
-     undecodable entries).";
+    "Invalid response-store objects skipped (corrupt segments, tmp \
+     leftovers, undecodable responses).";
   int_sample "deptest_disk_cache_invalid_total" t.disk_invalid;
   family "deptest_banerjee_kernel_compilations_total" "counter"
     "Subscript pairs compiled into the linear-form kernel.";
@@ -817,8 +817,8 @@ let to_prometheus ?(build = []) t =
   | [] -> ()
   | tiers ->
       family "deptest_serve_answered_total" "counter"
-        "Analyze requests answered, by cache tier (response / disk / memo / \
-         cold) or none for non-analyze and failed requests.";
+        "Analyze requests answered, by cache tier (response / memo / cold) \
+         or none for non-analyze and failed requests.";
       List.iter
         (fun (tier, n) ->
           int_sample ~labels:[ ("tier", tier) ] "deptest_serve_answered_total"

@@ -56,8 +56,9 @@ val cache_size : t -> int
 val cache_evictions : t -> int
 
 val set_disk_cache : t -> hits:int -> misses:int -> invalid:int -> unit
-(** Snapshot the disk-backed store's counters ({!Dt_engine.Store}-style
-    hits/misses plus invalid objects skipped). Snapshot semantics like
+(** Snapshot the serve daemon's response store counters
+    ([Dt_engine.Store] hits/misses plus invalid objects skipped); only
+    [Dt_serve.Engine] sets them. Snapshot semantics like
     {!set_cache_usage}: {!merge} keeps the larger value. *)
 
 val disk_hits : t -> int

@@ -39,7 +39,6 @@ val is_id : string -> bool
     coarsest first. *)
 type tier =
   | Response  (** the rendered-response cache: no analysis at all *)
-  | Disk  (** pair verdicts replayed from the disk store *)
   | Memo  (** pair verdicts replayed from the in-memory memo *)
   | Cold  (** the full test cascade ran *)
   | None_  (** not an analysis (metrics, health, ...) or an error *)

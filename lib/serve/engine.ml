@@ -35,8 +35,8 @@ type admission = { depth : int; waited_ns : int64 }
 
 let no_admission = { depth = 0; waited_ns = 0L }
 
-(* The store key prefix for rendered responses; pair verdicts use "p:"
-   (see Pair_cache). *)
+(* The store key of a rendered response: the only kind of entry the
+   daemon persists. *)
 let response_key source = "r:" ^ Digest.to_hex (Digest.string source)
 
 let create ?(jobs = 0) ?cache_dir ?cache_capacity ?(sample_period = 1)
@@ -68,7 +68,7 @@ let create ?(jobs = 0) ?cache_dir ?cache_capacity ?(sample_period = 1)
       cache_dir
   in
   let config =
-    Deptest.Analyze.Config.make ~jobs ?cache_capacity ?disk:store ~metrics ()
+    Deptest.Analyze.Config.make ~jobs ?cache_capacity ~metrics ()
   in
   {
     jobs;
@@ -140,8 +140,10 @@ let analyze_cold config source =
       Ok (Render.unit_ progs results)
 
 (* the response-tier lookup, split out so the analyze path can decide
-   how much tracing machinery to set up before running anything *)
-type response_lookup = Hit of string * int | Invalid | Miss
+   how much tracing machinery to set up before running anything. An
+   entry that fails to decode is counted, dropped and reported as a
+   miss, so the recomputed answer takes its place. *)
+type response_lookup = Hit of string * int | Miss
 
 let response_lookup t source =
   match t.store with
@@ -157,34 +159,27 @@ let response_lookup t source =
           | None ->
               Store.note_invalid store;
               Store.remove store key;
-              Invalid)
+              Miss)
       | None -> Miss)
 
-let persist_response t source output degraded =
-  (* a degraded response reflects this run's faults or budget, not the
-     program: never persist it *)
-  match t.store with
-  | Some store when degraded = 0 ->
+(* analyze and persist the answer in the response tier. [config] differs
+   from [t.config] at most by an attached span profiler or a deadline
+   (same memo cache), so caching behavior is identical with tracing on
+   or off. A degraded response reflects this run's faults or budget, not
+   the program: it is never persisted. *)
+let analyze_miss t config source =
+  let result = analyze_cold config source in
+  (match (t.store, result) with
+  | Some store, Ok (output, 0) ->
       Store.add store (response_key source)
-        (Json.Obj
-           [ ("output", Json.String output); ("degraded", Json.Int degraded) ])
-  | _ -> ()
+        (Json.Obj [ ("output", Json.String output); ("degraded", Json.Int 0) ])
+  | _ -> ());
+  result
 
-(* [config] differs from [t.config] only by an attached span profiler
-   (same memo cache, same store), so caching behavior is identical with
-   tracing on or off *)
-let analyze_with t config source =
+let analyze_source t source =
   match response_lookup t source with
   | Hit (output, degraded) -> Ok (output, degraded)
-  | Invalid -> analyze_cold config source
-  | Miss -> (
-      match analyze_cold config source with
-      | Error _ as e -> e
-      | Ok (output, degraded) as ok ->
-          persist_response t source output degraded;
-          ok)
-
-let analyze_source t source = analyze_with t t.config source
+  | Miss -> analyze_miss t t.config source
 
 let warm t ?suite () =
   let entries =
@@ -334,10 +329,7 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
           else [||]
         in
         (Ok (output, degraded), Reqtrace.Response, wall_ns, spans)
-    | lookup ->
-        let had_disk =
-          match t.store with Some s -> Store.hits s | None -> 0
-        in
+    | Miss ->
         let had_memo = Dt_obs.Metrics.cache_hits t.metrics in
         let profiler =
           if armed then Some (Dt_obs.Span.profiler ()) else None
@@ -364,32 +356,19 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
               (b, Dt_obs.Span.enter b Dt_obs.Span.Request))
             profiler
         in
-        let result =
-          match analyze_cold config source with
-          | Error _ as e -> e
-          | Ok (output, degraded) as ok ->
-              (match lookup with
-              | Miss -> persist_response t source output degraded
-              | Hit _ | Invalid -> ());
-              ok
-        in
+        let result = analyze_miss t config source in
         let wall_ns = Int64.sub (Dt_obs.Metrics.now_ns ()) t0 in
         note_analyze_wall t wall_ns;
         Option.iter (fun (b, slot) -> Dt_obs.Span.exit_ b slot) opened;
-        (* the coarsest cache tier that contributed to this answer,
-           detected by counter deltas around the request (requests are
-           handled one at a time, so the deltas are this request's) *)
+        (* the memo tier contributed iff its hit counter moved during
+           the request (requests are handled one at a time, so the delta
+           is this request's) *)
         let tier =
           match result with
           | Error _ -> Reqtrace.None_
-          | Ok _ ->
-              if
-                (match t.store with Some s -> Store.hits s | None -> 0)
-                > had_disk
-              then Reqtrace.Disk
-              else if Dt_obs.Metrics.cache_hits t.metrics > had_memo then
-                Reqtrace.Memo
-              else Reqtrace.Cold
+          | Ok _ when Dt_obs.Metrics.cache_hits t.metrics > had_memo ->
+              Reqtrace.Memo
+          | Ok _ -> Reqtrace.Cold
         in
         let spans =
           match profiler with

@@ -1,12 +1,15 @@
 (** The daemon's analysis core: one shared configuration (memo cache +
-    optional disk store + metrics registry) serving every request.
+    optional response store + metrics registry) serving every request.
 
     Two cache levels answer an analyze request:
-    + a response-level entry (key ["r:" ^ source-digest]) holding the
-      rendered verdict text — a whole round-trip short-circuits;
-    + the structural pair tier ({!Deptest.Pair_cache} over the same
-      {!Dt_engine.Store}, keys ["p:" ^ canonical-key]) — a cold response
-      over warm pairs still skips the test cascade.
+    + the response tier: a {!Dt_engine.Store} entry (key
+      ["r:" ^ source-digest]) holding the rendered verdict text, so a
+      whole round-trip short-circuits. It is the only tier on disk: one
+      entry per distinct request source. An entry that fails to decode
+      is counted invalid, dropped, recomputed and written back;
+    + the in-memory structural pair memo ({!Deptest.Pair_cache}), which
+      lives as long as the process: a cold response over pairs already
+      seen skips their test cascade.
 
     Responses containing degraded verdicts are never cached at either
     level. All verdict text comes from {!Render}, so answers are
@@ -47,9 +50,9 @@ val create :
   unit ->
   t
 (** [jobs] is resolved through {!Dt_support.Pool.clamp_auto} (never
-    oversubscribe). [cache_dir] attaches the persistent store, keyed by
-    the serve configuration's fingerprint; omitted means in-memory only.
-    [cache_capacity] bounds both tiers.
+    oversubscribe). [cache_dir] attaches the persistent response store,
+    keyed by the serve configuration's fingerprint; omitted means
+    in-memory only. [cache_capacity] bounds both tiers.
 
     [sample_period] (default 1: every request) arms span capture on
     every n-th analyze, [0] never; [slow_threshold_ns] (default 0: keep
@@ -106,7 +109,7 @@ val warm : t -> ?suite:string -> unit -> int
     its first real requests warm. Returns the number of units warmed. *)
 
 val flush : t -> int
-(** Persist the disk store; the number of entries on disk after. *)
+(** Persist the response store; the number of entries on disk after. *)
 
 val handle : ?admission:admission -> t -> Protocol.request -> Dt_obs.Json.t
 (** Answer one request ([Shutdown] gets its [ok] response here too; the

@@ -1,9 +1,9 @@
 (* Tests for the serve stack: length-prefixed framing, the disk-backed
-   verdict store (round-trip, eviction, the corruption-tolerance matrix),
-   the two-tier pair cache, the never-persist-degraded guarantee, the
-   wire protocol, and an in-process daemon end-to-end — including the
-   byte-identity of daemon answers vs in-process analysis, cold and
-   warm. *)
+   response store (round-trip, eviction, the corruption-tolerance
+   matrix), the engine's response tier across restarts, the
+   never-persist-degraded guarantee, the wire protocol, and an in-process
+   daemon end-to-end — including the byte-identity of daemon answers vs
+   in-process analysis, cold and warm. *)
 
 module Json = Dt_obs.Json
 module Store = Dt_engine.Store
@@ -46,9 +46,9 @@ let src =
   \   20 CONTINUE\n\
   \      END\n"
 
-let in_process_output ?disk () =
-  let progs = Dt_frontend.Lower.parse_unit src in
-  let cfg = Deptest.Analyze.Config.make ?disk () in
+let in_process_output ?(source = src) () =
+  let progs = Dt_frontend.Lower.parse_unit source in
+  let cfg = Deptest.Analyze.Config.make () in
   let results = Deptest.Analyze.run_all cfg progs in
   fst (Dt_serve.Render.unit_ progs results)
 
@@ -137,6 +137,22 @@ let test_store_eviction () =
   check int "eviction durable" 2 (Store.length s2);
   check bool "newest kept" true (Store.find s2 "c" = Some (Json.Int 3))
 
+(* a removed then re-added key is the newest entry: eviction takes the
+   oldest live key, never the re-added one *)
+let test_store_remove_readd () =
+  let dir = tmpdir () in
+  let s = Store.open_ ~dir ~fingerprint:fp ~capacity:2 () in
+  Store.add s "a" (Json.Int 1);
+  Store.add s "b" (Json.Int 2);
+  Store.remove s "a";
+  Store.add s "a" (Json.Int 3);
+  Store.add s "c" (Json.Int 4);
+  check int "capacity held" 2 (Store.length s);
+  check bool "older b evicted" true (Store.find s "b" = None);
+  check bool "re-added a kept" true (Store.find s "a" = Some (Json.Int 3));
+  let keys = Store.fold s ~init:[] ~f:(fun acc k _ -> k :: acc) in
+  check (Alcotest.list string) "insertion order" [ "a"; "c" ] (List.rev keys)
+
 (* the corruption matrix: each case must load as a cold start with the
    damage counted, never a wrong value *)
 let corrupt_case name damage =
@@ -165,15 +181,22 @@ let test_store_garbage () =
   corrupt_case "garbage" (fun _dir seg -> write_file seg "not json at all {")
 
 let test_store_wrong_schema () =
-  corrupt_case "wrong schema" (fun _dir seg ->
-      write_file seg
-        (Json.to_string
-           (Json.Obj
-              [
-                ("schema", Json.String "deptest-diskcache/999");
-                ("fingerprint", Json.String fp);
-                ("entries", Json.List []);
-              ])))
+  (* /1 directories hold per-pair verdicts nothing reads any more: they
+     must load as a cold start, not count against capacity *)
+  List.iter
+    (fun schema ->
+      corrupt_case ("wrong schema " ^ schema) (fun _dir seg ->
+          write_file seg
+            (Json.to_string
+               (Json.Obj
+                  [
+                    ("schema", Json.String schema);
+                    ("fingerprint", Json.String fp);
+                    ( "entries",
+                      Json.List
+                        [ Json.List [ Json.String "p:x"; Json.Int 1 ] ] );
+                  ]))))
+    [ "deptest-diskcache/999"; "deptest-diskcache/1" ]
 
 let test_store_wrong_fingerprint () =
   let dir = tmpdir () in
@@ -192,54 +215,95 @@ let test_store_tmp_leftover () =
       Sys.remove seg;
       write_file (Filename.concat dir "seg-1.json.tmp") "partial")
 
-(* --- disk tier of the pair cache ------------------------------------- *)
+(* --- the engine's response tier on disk ------------------------------ *)
+
+let engine_output e source =
+  match Dt_serve.Engine.analyze_source e source with
+  | Ok (out, _) -> out
+  | Error msg -> Alcotest.fail msg
+
+let store_keys e =
+  Store.fold
+    (Option.get (Dt_serve.Engine.store e))
+    ~init:[] ~f:(fun acc k _ -> k :: acc)
 
 let test_disk_tier_parity () =
   let dir = tmpdir () in
   let baseline = in_process_output () in
-  let store = Store.open_ ~dir ~fingerprint:fp () in
-  let cold = in_process_output ~disk:store () in
-  check string "cold with disk tier = no disk tier" baseline cold;
-  ignore (Store.flush store);
-  (* fresh memo, same disk: verdicts come from disk and render identically *)
-  let store2 = Store.open_ ~dir ~fingerprint:fp () in
-  let warm = in_process_output ~disk:store2 () in
-  check string "disk-warm = cold" baseline warm;
-  check bool "disk hits occurred" true (Store.hits store2 > 0)
+  let e = Dt_serve.Engine.create ~cache_dir:dir () in
+  check string "cold engine = in-process" baseline (engine_output e src);
+  check (Alcotest.list string) "one response entry, no pair verdicts"
+    [ "r:" ^ Digest.to_hex (Digest.string src) ]
+    (store_keys e);
+  ignore (Dt_serve.Engine.flush e);
+  (* restart: fresh memo, same directory — the answer comes from the
+     response tier and renders identically *)
+  let e2 = Dt_serve.Engine.create ~cache_dir:dir () in
+  let store2 = Option.get (Dt_serve.Engine.store e2) in
+  check string "disk-warm = cold" baseline (engine_output e2 src);
+  check int "answered from disk" 1 (Store.hits store2)
+
+(* enough distinct reference pairs that the injected per-site delay
+   outlasts a 1 ms analysis deadline long before the last pair starts *)
+let long_src =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "      PROGRAM TLONG\n      DO 10 I = 1, N\n";
+  for k = 1 to 30 do
+    Buffer.add_string b
+      (Printf.sprintf "        A(I+%d) = A(I+%d) + B(%d*I)\n" k (k - 1) k)
+  done;
+  Buffer.add_string b "   10 CONTINUE\n      END\n";
+  Buffer.contents b
 
 let test_degraded_never_persisted () =
-  (* deadline 0 deterministically degrades every pair *)
   let dir = tmpdir () in
-  let store = Store.open_ ~dir ~fingerprint:fp () in
-  let progs = Dt_frontend.Lower.parse_unit src in
-  let cfg = Deptest.Analyze.Config.make ~deadline_ms:0 ~disk:store () in
-  let results = Deptest.Analyze.run_all cfg progs in
-  let _, degraded = Dt_serve.Render.unit_ progs results in
-  check bool "run did degrade" true (degraded > 0);
-  check int "no degraded entry reached the disk tier" 0 (Store.length store);
-  check int "flush persists nothing" 0 (Store.flush store)
+  (* jobs 1: the inject harness is global and single-domain only *)
+  let e = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
+  let resp =
+    Dt_guard.Inject.enable ~period:1 [ Dt_guard.Inject.Delay ];
+    Fun.protect ~finally:Dt_guard.Inject.disable (fun () ->
+        Dt_serve.Engine.handle e
+          (Dt_serve.Protocol.Analyze
+             {
+               source = long_src;
+               id = None;
+               trace_id = None;
+               deadline_ms = Some 1;
+             }))
+  in
+  check bool "request deadline degraded pairs" true
+    (match Json.member "degraded" resp with
+    | Some (Json.Int d) -> d > 0
+    | _ -> false);
+  check int "no degraded response reached the store" 0
+    (List.length (store_keys e));
+  check int "flush persists nothing" 0 (Dt_serve.Engine.flush e);
+  (* the same request without a deadline is answered cold and exact *)
+  let e2 = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
+  check string "restart answers the clean verdicts"
+    (in_process_output ~source:long_src ())
+    (engine_output e2 long_src)
 
 let test_injected_fault_never_persisted () =
   let dir = tmpdir () in
-  let store = Store.open_ ~dir ~fingerprint:fp () in
-  let progs = Dt_frontend.Lower.parse_unit src in
   let baseline = in_process_output () in
+  (* sequential: the inject harness is single-domain only *)
+  let e = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
   Dt_guard.Inject.enable ~period:2 [ Dt_guard.Inject.Exception ];
   Fun.protect ~finally:Dt_guard.Inject.disable (fun () ->
-      let cfg =
-        (* sequential: the inject harness is single-domain only *)
-        Deptest.Analyze.Config.make ~jobs:1 ~disk:store ()
-      in
-      let results = Deptest.Analyze.run_all cfg progs in
-      let _, degraded = Dt_serve.Render.unit_ progs results in
-      check bool "faults fired and degraded pairs" true (degraded > 0));
-  ignore (Store.flush store);
-  (* a persisted degraded verdict would replay into this warm run and
-     poison it; byte-equality with the clean baseline proves the fault
-     run persisted nothing degraded *)
-  let store2 = Store.open_ ~dir ~fingerprint:fp () in
-  let warm = in_process_output ~disk:store2 () in
-  check string "warm run after fault run = clean baseline" baseline warm
+      match Dt_serve.Engine.analyze_source e src with
+      | Ok (_, degraded) ->
+          check bool "faults fired and degraded pairs" true (degraded > 0)
+      | Error msg -> Alcotest.fail msg);
+  check int "flush persists nothing" 0 (Dt_serve.Engine.flush e);
+  (* a persisted degraded response would replay into this restarted
+     daemon and poison it; byte-equality with the clean baseline proves
+     the fault run persisted nothing *)
+  let e2 = Dt_serve.Engine.create ~jobs:1 ~cache_dir:dir () in
+  check string "restart after fault run = clean baseline" baseline
+    (engine_output e2 src);
+  check int "answered cold" 0
+    (Store.hits (Option.get (Dt_serve.Engine.store e2)))
 
 (* --- protocol --------------------------------------------------------- *)
 
@@ -336,7 +400,12 @@ let test_engine_invalid_response_entry () =
   (match Dt_serve.Engine.analyze_source e src with
   | Ok (out, _) -> check string "fallback output identical" baseline out
   | Error msg -> Alcotest.fail msg);
-  check int "invalid counted" (invalid0 + 1) (Store.invalid store)
+  check int "invalid counted" (invalid0 + 1) (Store.invalid store);
+  (* the recomputed answer replaced the damaged entry *)
+  let hits0 = Store.hits store in
+  check string "third request identical" baseline (engine_output e src);
+  check int "third request hit the response tier" (hits0 + 1)
+    (Store.hits store)
 
 (* --- clamp ------------------------------------------------------------ *)
 
@@ -393,7 +462,7 @@ let test_server_end_to_end () =
   let out2 = client_analyze sock in
   check string "cold daemon = in-process" baseline out1;
   check string "warm daemon = in-process" baseline out2;
-  (* metrics over the wire show the disk tier working *)
+  (* metrics over the wire show the response store working *)
   let c = Dt_serve.Client.connect ~socket:sock in
   let m =
     Dt_serve.Client.request c (Dt_serve.Protocol.Metrics { prometheus = false })
@@ -551,7 +620,7 @@ let test_slow_ledger_end_to_end () =
       check bool "entry has a tier" true
         (match Json.member "tier" e with
         | Some (Json.String t) ->
-            List.mem t [ "response"; "disk"; "memo"; "cold"; "none" ]
+            List.mem t [ "response"; "memo"; "cold"; "none" ]
         | _ -> false);
       check bool "entry was captured" true
         (Json.member "captured" e = Some (Json.Bool true))
@@ -632,6 +701,7 @@ let suite =
       `Quick,
       test_store_wrong_fingerprint );
     ("store corruption: tmp leftover", `Quick, test_store_tmp_leftover);
+    ("store FIFO after remove and re-add", `Quick, test_store_remove_readd);
     ("disk tier byte parity", `Quick, test_disk_tier_parity);
     ("degraded never persisted (deadline)", `Quick,
       test_degraded_never_persisted);
