@@ -883,7 +883,9 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "cache-capacity" ] ~docv:"N"
-          ~doc:"Bound resident cache entries (FIFO eviction past it).")
+          ~doc:
+            "Bound the response store's resident entries (FIFO eviction \
+             past it).")
   in
   let warm_arg =
     Arg.(
@@ -892,8 +894,8 @@ let serve_cmd =
       & info [ "warm" ] ~docv:"SUITE"
           ~doc:
             "Pre-analyze the built-in workload corpus (or one suite of \
-             it) before accepting connections, so first requests hit \
-             warm caches.")
+             it) before accepting connections, so the response tier \
+             answers those sources without analysis.")
   in
   let quiet_arg =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress progress messages.")

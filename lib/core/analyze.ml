@@ -17,16 +17,14 @@ module Config = struct
   }
 
   let make ?(strategy = Pair_test.Partition_based) ?(include_inputs = false)
-      ?(assume = Assume.empty) ?(jobs = 0) ?(cache = true) ?cache_capacity
-      ?metrics ?profiler ?budget ?deadline_ms () =
+      ?(assume = Assume.empty) ?(jobs = 0) ?(cache = true) ?metrics ?profiler
+      ?budget ?deadline_ms () =
     {
       strategy;
       include_inputs;
       assume;
       jobs;
-      cache =
-        (if cache then Some (Pair_cache.create ?capacity:cache_capacity ())
-         else None);
+      cache = (if cache then Some (Pair_cache.create ()) else None);
       metrics;
       profiler;
       budget;
@@ -48,10 +46,7 @@ module Config = struct
   let cache_stats t =
     Option.map (fun c -> (Pair_cache.hits c, Pair_cache.misses c)) t.cache
 
-  let cache_usage t =
-    Option.map (fun c -> (Pair_cache.length c, Pair_cache.evictions c)) t.cache
-
-  let cache_hit_rate t = Option.map Pair_cache.hit_rate t.cache
+  let cache_size t = Option.map Pair_cache.length t.cache
 end
 
 type pair_record = {
@@ -450,8 +445,7 @@ let snapshot_cache ~metrics ~cache =
      merge, not per worker registry *)
   match (metrics, cache) with
   | Some m, Some c ->
-      Dt_obs.Metrics.set_cache_usage m ~size:(Pair_cache.length c)
-        ~evictions:(Pair_cache.evictions c)
+      Dt_obs.Metrics.set_cache_size m (Pair_cache.length c)
   | _ -> ()
 
 (* sequential orientation pass, in enumeration order: bit-identical to

@@ -30,7 +30,6 @@ module Config : sig
     ?assume:Assume.t ->
     ?jobs:int ->
     ?cache:bool ->
-    ?cache_capacity:int ->
     ?metrics:Dt_obs.Metrics.t ->
     ?profiler:Dt_obs.Span.profiler ->
     ?budget:int ->
@@ -41,13 +40,12 @@ module Config : sig
       [jobs = 0] (auto: one worker per recommended domain, but small
       nests — fewer than ~256 reference pairs, where a Domain spawn
       would cost more than the testing work — run sequentially), cache
-      on and unbounded ([cache_capacity] bounds its resident entries
-      with FIFO eviction), no metrics, no
-      profiler, no budget, no deadline. An explicit [jobs >= 1] is
-      honored literally. A profiler does {e not} constrain the
-      schedule, even one created with [~explain:true]: each worker
-      domain records its spans and explain steps into its own buffer,
-      the buffers merge deterministically afterwards (see
+      on (unbounded), no metrics, no profiler, no budget, no deadline.
+      An explicit [jobs >= 1] is honored literally. A profiler does
+      {e not} constrain the schedule, even one created with
+      [~explain:true]: each worker domain records its spans and explain
+      steps into its own buffer, the buffers merge deterministically
+      afterwards (see
       {!Dt_obs.Span}), and {!Dt_obs.Trace} orders the explain steps by
       pair, so the explain rendering is the same at every [jobs].
 
@@ -81,12 +79,10 @@ module Config : sig
   val cache_stats : t -> (int * int) option
   (** [(hits, misses)] of this configuration's cache, if it has one. *)
 
-  val cache_usage : t -> (int * int) option
-  (** [(size, evictions)]: resident entries and capacity evictions of
-      this configuration's cache, if it has one. [run] snapshots the
-      same numbers into the metrics registry's cache block. *)
-
-  val cache_hit_rate : t -> float option
+  val cache_size : t -> int option
+  (** Resident entries of this configuration's cache, if it has one.
+      [run] snapshots the same number into the metrics registry's cache
+      block. *)
 end
 
 type pair_record = {

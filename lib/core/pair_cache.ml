@@ -10,7 +10,7 @@ type entry = {
 
 type t = entry Memo.t
 
-let create ?capacity () = Memo.create ?capacity ()
+let create () = Memo.create ()
 
 (* ------------------------------------------------------------------ *)
 (* rehydration: translate the producer's result into the consumer's
@@ -124,6 +124,4 @@ let store t (key : Dt_engine.Key.t) ~counters result =
 
 let hits = Memo.hits
 let misses = Memo.misses
-let hit_rate = Memo.hit_rate
 let length = Memo.length
-let evictions = Memo.evictions

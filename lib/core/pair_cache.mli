@@ -23,16 +23,15 @@
     The table is domain-safe (see {!Dt_engine.Memo}); concurrent workers
     of the parallel engine share one cache.
 
-    The cache lives only as long as its process. Pair verdicts are not
-    persisted: the paper's cheap exact tests settle a pair faster than a
-    disk entry can be decoded, so the serve daemon persists whole
-    rendered responses instead (see [Dt_serve.Engine]). *)
+    The cache is unbounded and lives as long as the {!Analyze.Config.t}
+    that owns it: one-shot analysis only. The serve daemon runs without
+    it — the paper's cheap exact tests settle most pairs faster than a
+    lookup — and caches whole rendered responses instead (see
+    [Dt_serve.Engine]). *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] bounds the resident entries (FIFO eviction past it, see
-    {!Dt_engine.Memo}); omitted means unbounded. *)
+val create : unit -> t
 
 val find : t -> Dt_engine.Key.t -> counters:Counters.t -> Pair_test.t option
 (** On a hit, returns the rehydrated result and replays the entry's
@@ -44,8 +43,4 @@ val store : t -> Dt_engine.Key.t -> counters:Counters.t -> Pair_test.t -> unit
 
 val hits : t -> int
 val misses : t -> int
-val hit_rate : t -> float
 val length : t -> int
-
-val evictions : t -> int
-(** Entries dropped by capacity eviction. *)

@@ -3,7 +3,7 @@ module Json = Dt_obs.Json
 let schema_version = "deptest-diskcache/2"
 
 type t = {
-  dir : string;
+  dir : string option;  (* where segments live; None = memory only *)
   fingerprint : string;
   capacity : int option;
   tbl : (string, Json.t) Hashtbl.t;
@@ -81,14 +81,14 @@ let insert t k v =
         t.evictions <- t.evictions + 1
       done
 
-let load t =
-  let names = try Sys.readdir t.dir with Sys_error _ -> [||] in
+let load t dir =
+  let names = try Sys.readdir dir with Sys_error _ -> [||] in
   (* a *.tmp next to the segments is a crashed mid-write: the rename
      never happened, so the bytes are untrusted — remove and count *)
   Array.iter
     (fun name ->
       if Filename.check_suffix name ".tmp" then begin
-        (try Sys.remove (Filename.concat t.dir name) with Sys_error _ -> ());
+        (try Sys.remove (Filename.concat dir name) with Sys_error _ -> ());
         t.invalid <- t.invalid + 1
       end)
     names;
@@ -97,7 +97,7 @@ let load t =
   in
   List.iter
     (fun n ->
-      let path = seg_path t.dir n in
+      let path = seg_path dir n in
       let ok =
         match Json.of_string (read_file path) with
         | Error _ | (exception Sys_error _) -> false
@@ -119,8 +119,8 @@ let load t =
   t.next_seg <- (match List.rev t.segs with n :: _ -> n + 1 | [] -> 0);
   t.dirty <- false
 
-let open_ ~dir ~fingerprint ?capacity () =
-  mkdir_p dir;
+let open_ ?dir ~fingerprint ?capacity () =
+  Option.iter mkdir_p dir;
   let t =
     {
       dir;
@@ -138,7 +138,7 @@ let open_ ~dir ~fingerprint ?capacity () =
       mutex = Mutex.create ();
     }
   in
-  load t;
+  Option.iter (load t) dir;
   t
 
 let dir t = t.dir
@@ -187,22 +187,25 @@ let resident_json t =
 
 let flush t =
   locked t @@ fun () ->
-  let n = Hashtbl.length t.tbl in
-  if t.dirty then begin
-    (* compacting flush: one fresh segment holds the whole resident set,
-       then the superseded segments go away — eviction becomes durable
-       and the directory holds one live segment plus nothing stale *)
-    let seg = t.next_seg in
-    Dt_obs.Artifact.write_atomic (seg_path t.dir seg)
-      (Json.to_string (resident_json t) ^ "\n");
-    t.next_seg <- seg + 1;
-    List.iter
-      (fun old -> try Sys.remove (seg_path t.dir old) with Sys_error _ -> ())
-      t.segs;
-    t.segs <- [ seg ];
-    t.dirty <- false
-  end;
-  n
+  match t.dir with
+  | None -> 0
+  | Some dir ->
+      if t.dirty then begin
+        (* compacting flush: one fresh segment holds the whole resident
+           set, then the superseded segments go away — eviction becomes
+           durable and the directory holds one live segment plus nothing
+           stale *)
+        let seg = t.next_seg in
+        Dt_obs.Artifact.write_atomic (seg_path dir seg)
+          (Json.to_string (resident_json t) ^ "\n");
+        t.next_seg <- seg + 1;
+        List.iter
+          (fun old -> try Sys.remove (seg_path dir old) with Sys_error _ -> ())
+          t.segs;
+        t.segs <- [ seg ];
+        t.dirty <- false
+      end;
+      Hashtbl.length t.tbl
 
 let length t = locked t @@ fun () -> Hashtbl.length t.tbl
 let hits t = t.hits

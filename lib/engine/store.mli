@@ -1,11 +1,12 @@
-(** A disk-backed, versioned key-value store: the serve daemon's
-    response tier.
+(** A versioned key-value store: the serve daemon's response tier and
+    its only cache.
 
     Entries are string keys with JSON values (the daemon stores one
     rendered response per distinct request source, keyed ["r:" ^ digest];
-    pair verdicts are not persisted, see [Deptest.Pair_cache]), held
-    resident in one hash table and persisted as numbered segment files
-    under a cache directory. A segment carries the
+    pair verdicts are not kept, see [Deptest.Pair_cache]), held resident
+    in one hash table. Opened with a directory, the store also persists
+    them as numbered segment files there; without one it lives in memory
+    only and {!flush} writes nothing. A segment carries the
     store's schema version and the owning configuration's fingerprint
     (see {!Dt_report.Record.fingerprint}); loading skips — and counts as
     invalid — any segment that fails to parse, declares a different
@@ -18,7 +19,7 @@
     {!flush} compacts the whole resident table into a single new segment
     and unlinks the older ones, so eviction is durable and the directory
     never accumulates garbage. [capacity] bounds resident entries with
-    FIFO eviction over insertion order, mirroring {!Memo}.
+    FIFO eviction over insertion order.
 
     All operations are mutex-guarded: the parallel engine's worker
     domains and a serve daemon's request loop may share one store. *)
@@ -29,21 +30,23 @@ val schema_version : string
 (** ["deptest-diskcache/2"]. Version 1 directories also held per-pair
     verdicts under ["p:"] keys; they load as invalid, a cold start. *)
 
-val open_ : dir:string -> fingerprint:string -> ?capacity:int -> unit -> t
-(** Open (creating [dir] if needed) and load every valid segment.
-    [capacity] bounds resident entries (FIFO eviction past it); omitted
-    means unbounded. Invalid segments are deleted after being counted —
-    the next {!flush} rebuilds a clean directory. Raises [Sys_error] /
-    [Unix.Unix_error] only for a directory that cannot be created. *)
+val open_ : ?dir:string -> fingerprint:string -> ?capacity:int -> unit -> t
+(** Open an empty store, or with [dir], open (creating [dir] if needed)
+    and load every valid segment there. [capacity] bounds resident
+    entries (FIFO eviction past it); omitted means unbounded. Invalid
+    segments are deleted after being counted — the next {!flush}
+    rebuilds a clean directory. Raises [Sys_error] / [Unix.Unix_error]
+    only for a directory that cannot be created. *)
 
-val dir : t -> string
+val dir : t -> string option
 
 val find : t -> string -> Dt_obs.Json.t option
 (** Bumps the hit or miss counter. *)
 
 val add : t -> string -> Dt_obs.Json.t -> unit
 (** Insert or replace, evicting FIFO past capacity. The entry is
-    resident immediately and durable after the next {!flush}. *)
+    resident immediately and, with a directory, durable after the next
+    {!flush}. *)
 
 val remove : t -> string -> unit
 (** Drop a resident entry (e.g. one whose value failed to decode).
@@ -56,9 +59,10 @@ val note_invalid : t -> unit
 
 val flush : t -> int
 (** Persist: write all resident entries as one new segment and unlink
-    the previous segments. Returns the number of entries written. A
-    store whose resident set is unchanged since the last flush is a
-    no-op returning the resident count. *)
+    the previous segments. Returns the number of entries on disk after:
+    [0] for a store without a directory, which writes nothing. A store
+    whose resident set is unchanged since the last flush is a no-op
+    returning the resident count. *)
 
 val length : t -> int
 val hits : t -> int

@@ -54,7 +54,6 @@ type t = {
   mutable cache_hits : int;  (* pair verdicts served by the memo cache *)
   mutable cache_misses : int;
   mutable cache_size : int;  (* resident memo entries, snapshot after a run *)
-  mutable cache_evictions : int;  (* entries dropped by capacity eviction *)
   (* the serve daemon's response store, snapshot semantics *)
   mutable disk_hits : int;
   mutable disk_misses : int;
@@ -87,7 +86,6 @@ let create () =
     cache_hits = 0;
     cache_misses = 0;
     cache_size = 0;
-    cache_evictions = 0;
     disk_hits = 0;
     disk_misses = 0;
     disk_invalid = 0;
@@ -143,12 +141,8 @@ let cache_miss t = t.cache_misses <- t.cache_misses + 1
 let cache_hits t = t.cache_hits
 let cache_misses t = t.cache_misses
 
-let set_cache_usage t ~size ~evictions =
-  t.cache_size <- size;
-  t.cache_evictions <- evictions
-
+let set_cache_size t size = t.cache_size <- size
 let cache_size t = t.cache_size
-let cache_evictions t = t.cache_evictions
 
 let set_disk_cache t ~hits ~misses ~invalid =
   t.disk_hits <- hits;
@@ -286,11 +280,10 @@ let merge_into acc extra =
   acc.pair_ns <- Int64.add acc.pair_ns extra.pair_ns;
   acc.cache_hits <- acc.cache_hits + extra.cache_hits;
   acc.cache_misses <- acc.cache_misses + extra.cache_misses;
-  (* size/evictions are snapshots of a shared table, not per-registry
-     increments: summing registries that observed the same cache would
+  (* size is a snapshot of a shared table, not a per-registry
+     increment: summing registries that observed the same cache would
      double-count, so the merge keeps the larger snapshot *)
   acc.cache_size <- max acc.cache_size extra.cache_size;
-  acc.cache_evictions <- max acc.cache_evictions extra.cache_evictions;
   (* the response-store counters are likewise snapshots of one store *)
   acc.disk_hits <- max acc.disk_hits extra.disk_hits;
   acc.disk_misses <- max acc.disk_misses extra.disk_misses;
@@ -437,7 +430,7 @@ let to_json t =
   in
   Json.Obj
     ([
-      (* /2: the cache block gained size and evictions *)
+      (* /2: the cache block gained size *)
       ("schema", Json.String "deptest-metrics/2");
       ("tests", Json.List tests);
       ("phases", Json.Obj phases_json);
@@ -459,7 +452,6 @@ let to_json t =
                 (if n = 0 then 0.
                  else float_of_int t.cache_hits /. float_of_int n) );
             ("size", Json.Int t.cache_size);
-            ("evictions", Json.Int t.cache_evictions);
             ("disk_hits", Json.Int t.disk_hits);
             ("disk_misses", Json.Int t.disk_misses);
             ("disk_invalid", Json.Int t.disk_invalid);
@@ -538,16 +530,14 @@ let pp ppf t =
   (if t.cache_hits + t.cache_misses > 0 then
      let n = t.cache_hits + t.cache_misses in
      Format.fprintf ppf
-       "memo cache: %d hits / %d lookups (%.1f%%), %d entr%s resident, %d \
-        evicted@."
+       "memo cache: %d hits / %d lookups (%.1f%%), %d entr%s resident@."
        t.cache_hits n
        (100. *. float_of_int t.cache_hits /. float_of_int n)
        t.cache_size
-       (if t.cache_size = 1 then "y" else "ies")
-       t.cache_evictions);
+       (if t.cache_size = 1 then "y" else "ies"));
   if t.disk_hits + t.disk_misses + t.disk_invalid > 0 then
     Format.fprintf ppf
-      "disk cache: %d hits / %d lookups, %d invalid object(s)@." t.disk_hits
+      "response store: %d hits / %d lookups, %d invalid object(s)@." t.disk_hits
       (t.disk_hits + t.disk_misses)
       t.disk_invalid;
   if t.bj_compile + t.bj_inc_nodes + t.bj_scratch_nodes + t.bj_caps > 0 then
@@ -706,11 +696,8 @@ let to_prometheus ?(build = []) t =
   family "deptest_cache_entries" "gauge"
     "Resident memo-cache entries after the run.";
   int_sample "deptest_cache_entries" t.cache_size;
-  family "deptest_cache_evictions_total" "counter"
-    "Memo-cache entries dropped by capacity eviction.";
-  int_sample "deptest_cache_evictions_total" t.cache_evictions;
   family "deptest_disk_cache_hits_total" "counter"
-    "Responses served by the daemon's disk-backed response store.";
+    "Responses served by the daemon's response store.";
   int_sample "deptest_disk_cache_hits_total" t.disk_hits;
   family "deptest_disk_cache_misses_total" "counter"
     "Response-store lookup misses.";
@@ -817,8 +804,8 @@ let to_prometheus ?(build = []) t =
   | [] -> ()
   | tiers ->
       family "deptest_serve_answered_total" "counter"
-        "Analyze requests answered, by cache tier (response / memo / cold) \
-         or none for non-analyze and failed requests.";
+        "Analyze requests answered, by cache tier (response / cold) or \
+         none for non-analyze and failed requests.";
       List.iter
         (fun (tier, n) ->
           int_sample ~labels:[ ("tier", tier) ] "deptest_serve_answered_total"

@@ -46,20 +46,19 @@ val cache_miss : t -> unit
 val cache_hits : t -> int
 val cache_misses : t -> int
 
-val set_cache_usage : t -> size:int -> evictions:int -> unit
-(** Snapshot the memo table's growth after a run: resident entries and
-    capacity evictions. A snapshot of shared state, not an increment —
-    {!merge} keeps the larger value rather than summing, so per-worker
-    registries observing one shared cache don't multiply it. *)
+val set_cache_size : t -> int -> unit
+(** Snapshot the memo table's resident entries after a run. A snapshot
+    of shared state, not an increment — {!merge} keeps the larger value
+    rather than summing, so per-worker registries observing one shared
+    cache don't multiply it. *)
 
 val cache_size : t -> int
-val cache_evictions : t -> int
 
 val set_disk_cache : t -> hits:int -> misses:int -> invalid:int -> unit
 (** Snapshot the serve daemon's response store counters
     ([Dt_engine.Store] hits/misses plus invalid objects skipped); only
     [Dt_serve.Engine] sets them. Snapshot semantics like
-    {!set_cache_usage}: {!merge} keeps the larger value. *)
+    {!set_cache_size}: {!merge} keeps the larger value. *)
 
 val disk_hits : t -> int
 val disk_misses : t -> int
@@ -188,7 +187,7 @@ val to_json : t -> Json.t
 (** The metrics snapshot: schema ["deptest-metrics/2"], per-kind
     [tests] rows (kind, name, applied, independent, total_ns), [phases]
     totals, [pairs] with the latency histogram, [cache]
-    hits/misses/hit_rate/size/evictions, [banerjee] kernel counters
+    hits/misses/hit_rate/size, [banerjee] kernel counters
     (kernel_compilations, incremental_nodes, scratch_nodes,
     combo_cap_fallbacks), the [guard] block (degraded pair total and
     by_reason overflow / exception / budget buckets), and the [engine]

@@ -27,15 +27,14 @@ let is_id s =
 
 (* ------------------------------------------------------------------ *)
 
-type tier = Response | Memo | Cold | None_
+type tier = Response | Cold | None_
 
 let tier_name = function
   | Response -> "response"
-  | Memo -> "memo"
   | Cold -> "cold"
   | None_ -> "none"
 
-let tiers = [ Response; Memo; Cold; None_ ]
+let tiers = [ Response; Cold; None_ ]
 
 type entry = {
   trace_id : string;

@@ -35,11 +35,10 @@ val is_id : string -> bool
 
 (** {1 Cache tiers} *)
 
-(** Which tier of the daemon's cache hierarchy answered a request,
-    coarsest first. *)
+(** How the daemon answered a request: from its one cache, by
+    analysis, or not at all. *)
 type tier =
   | Response  (** the rendered-response cache: no analysis at all *)
-  | Memo  (** pair verdicts replayed from the in-memory memo *)
   | Cold  (** the full test cascade ran *)
   | None_  (** not an analysis (metrics, health, ...) or an error *)
 

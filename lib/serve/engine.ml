@@ -5,8 +5,8 @@ module Reqtrace = Dt_obs.Reqtrace
 
 type t = {
   jobs : int;
-  config : Deptest.Analyze.Config.t;  (* shared: one memo cache for all *)
-  store : Store.t option;
+  config : Deptest.Analyze.Config.t;  (* no pair memo: see engine.mli *)
+  store : Store.t;  (* the response tier, on disk with a cache dir *)
   metrics : Dt_obs.Metrics.t;
   sampler : Reqtrace.Sampler.t;
   ring : Reqtrace.Ring.t;
@@ -36,7 +36,7 @@ type admission = { depth : int; waited_ns : int64 }
 let no_admission = { depth = 0; waited_ns = 0L }
 
 (* The store key of a rendered response: the only kind of entry the
-   daemon persists. *)
+   daemon caches. *)
 let response_key source = "r:" ^ Digest.to_hex (Digest.string source)
 
 let create ?(jobs = 0) ?cache_dir ?cache_capacity ?(sample_period = 1)
@@ -54,22 +54,20 @@ let create ?(jobs = 0) ?cache_dir ?cache_capacity ?(sample_period = 1)
       Dt_obs.Metrics.serve_tier metrics ~tier:(Reqtrace.tier_name tier))
     Reqtrace.tiers;
   (* the store fingerprint covers the serve configuration's semantics
-     (strategy, input pairs, cache, budget, deadline — not jobs) plus
-     the cache schema version, so a config or schema change invalidates
-     every persisted segment instead of replaying stale verdicts *)
+     (strategy, input pairs, budget, deadline — not jobs) plus the cache
+     schema version, so a config or schema change invalidates every
+     persisted segment instead of replaying stale verdicts. It is taken
+     from the default configuration: the pair memo the daemon leaves off
+     never changes a verdict, and keeping it keeps old directories valid *)
   let fingerprint =
     Record.fingerprint ~label:"serve"
       ~config:(Record.config_of (Deptest.Analyze.Config.make ~jobs ()))
       ~source:(Record.source_of Store.schema_version)
   in
   let store =
-    Option.map
-      (fun dir -> Store.open_ ~dir ~fingerprint ?capacity:cache_capacity ())
-      cache_dir
+    Store.open_ ?dir:cache_dir ~fingerprint ?capacity:cache_capacity ()
   in
-  let config =
-    Deptest.Analyze.Config.make ~jobs ?cache_capacity ~metrics ()
-  in
+  let config = Deptest.Analyze.Config.make ~jobs ~cache:false ~metrics () in
   {
     jobs;
     config;
@@ -146,32 +144,29 @@ let analyze_cold config source =
 type response_lookup = Hit of string * int | Miss
 
 let response_lookup t source =
-  match t.store with
+  let key = response_key source in
+  match Store.find t.store key with
+  | Some json -> (
+      match decode_response json with
+      | Some (output, degraded) ->
+          t.response_hits <- t.response_hits + 1;
+          Hit (output, degraded)
+      | None ->
+          Store.note_invalid t.store;
+          Store.remove t.store key;
+          Miss)
   | None -> Miss
-  | Some store -> (
-      let key = response_key source in
-      match Store.find store key with
-      | Some json -> (
-          match decode_response json with
-          | Some (output, degraded) ->
-              t.response_hits <- t.response_hits + 1;
-              Hit (output, degraded)
-          | None ->
-              Store.note_invalid store;
-              Store.remove store key;
-              Miss)
-      | None -> Miss)
 
-(* analyze and persist the answer in the response tier. [config] differs
-   from [t.config] at most by an attached span profiler or a deadline
-   (same memo cache), so caching behavior is identical with tracing on
-   or off. A degraded response reflects this run's faults or budget, not
-   the program: it is never persisted. *)
+(* analyze and cache the answer in the response tier. [config] differs
+   from [t.config] at most by an attached span profiler or a deadline,
+   so caching behavior is identical with tracing on or off. A degraded
+   response reflects this run's faults or budget, not the program: it is
+   never cached. *)
 let analyze_miss t config source =
   let result = analyze_cold config source in
-  (match (t.store, result) with
-  | Some store, Ok (output, 0) ->
-      Store.add store (response_key source)
+  (match result with
+  | Ok (output, 0) ->
+      Store.add t.store (response_key source)
         (Json.Obj [ ("output", Json.String output); ("degraded", Json.Int 0) ])
   | _ -> ());
   result
@@ -194,14 +189,12 @@ let warm t ?suite () =
       | Error _ -> n)
     0 entries
 
-let flush t = match t.store with None -> 0 | Some s -> Store.flush s
+let flush t = Store.flush t.store
 
 let sync_disk_metrics t =
-  match t.store with
-  | None -> ()
-  | Some s ->
-      Dt_obs.Metrics.set_disk_cache t.metrics ~hits:(Store.hits s)
-        ~misses:(Store.misses s) ~invalid:(Store.invalid s)
+  let s = t.store in
+  Dt_obs.Metrics.set_disk_cache t.metrics ~hits:(Store.hits s)
+    ~misses:(Store.misses s) ~invalid:(Store.invalid s)
 
 let serve_prometheus t =
   let b = Buffer.create 256 in
@@ -330,7 +323,6 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
         in
         (Ok (output, degraded), Reqtrace.Response, wall_ns, spans)
     | Miss ->
-        let had_memo = Dt_obs.Metrics.cache_hits t.metrics in
         let profiler =
           if armed then Some (Dt_obs.Span.profiler ()) else None
         in
@@ -360,15 +352,8 @@ let handle_analyze t ~source ~id ~trace_id ~deadline_ms =
         let wall_ns = Int64.sub (Dt_obs.Metrics.now_ns ()) t0 in
         note_analyze_wall t wall_ns;
         Option.iter (fun (b, slot) -> Dt_obs.Span.exit_ b slot) opened;
-        (* the memo tier contributed iff its hit counter moved during
-           the request (requests are handled one at a time, so the delta
-           is this request's) *)
         let tier =
-          match result with
-          | Error _ -> Reqtrace.None_
-          | Ok _ when Dt_obs.Metrics.cache_hits t.metrics > had_memo ->
-              Reqtrace.Memo
-          | Ok _ -> Reqtrace.Cold
+          if Result.is_ok result then Reqtrace.Cold else Reqtrace.None_
         in
         let spans =
           match profiler with
@@ -488,23 +473,15 @@ let handle_op t admission req =
                     (Int64.to_int (Reqtrace.Sampler.threshold_ns t.sampler)) );
                 ("ledger_total", Json.Int (Reqtrace.Ring.total t.ring));
               ] );
-          ( "cache",
-            Json.Obj
-              [
-                ("memo_hits", Json.Int (Dt_obs.Metrics.cache_hits t.metrics));
-                ( "memo_misses",
-                  Json.Int (Dt_obs.Metrics.cache_misses t.metrics) );
-                ("memo_entries", Json.Int (Dt_obs.Metrics.cache_size t.metrics));
-              ] );
           ( "disk",
-            match t.store with
+            match Store.dir t.store with
             | None -> Json.Bool false
-            | Some s ->
+            | Some dir ->
                 Json.Obj
                   [
-                    ("dir", Json.String (Store.dir s));
-                    ("resident", Json.Int (Store.length s));
-                    ("segments", Json.Int (Store.segments s));
+                    ("dir", Json.String dir);
+                    ("resident", Json.Int (Store.length t.store));
+                    ("segments", Json.Int (Store.segments t.store));
                   ] );
         ]
   | Protocol.Slow { n } -> entries_response t (Reqtrace.Ring.recent ?n t.ring)

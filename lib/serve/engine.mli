@@ -1,29 +1,29 @@
-(** The daemon's analysis core: one shared configuration (memo cache +
-    optional response store + metrics registry) serving every request.
+(** The daemon's analysis core: one shared configuration (response
+    store + metrics registry) serving every request.
 
-    Two cache levels answer an analyze request:
-    + the response tier: a {!Dt_engine.Store} entry (key
-      ["r:" ^ source-digest]) holding the rendered verdict text, so a
-      whole round-trip short-circuits. It is the only tier on disk: one
-      entry per distinct request source. An entry that fails to decode
-      is counted invalid, dropped, recomputed and written back;
-    + the in-memory structural pair memo ({!Deptest.Pair_cache}), which
-      lives as long as the process: a cold response over pairs already
-      seen skips their test cascade.
+    One cache answers an analyze request: the response tier, a
+    {!Dt_engine.Store} entry (key ["r:" ^ source-digest]) holding the
+    rendered verdict text, so a repeated source skips the analysis
+    entirely. The store is always held in memory and is written to disk
+    only when the daemon has a cache directory. An entry that fails to
+    decode is counted invalid, dropped, recomputed and written back.
 
-    Responses containing degraded verdicts are never cached at either
-    level. All verdict text comes from {!Render}, so answers are
-    byte-identical to the one-shot [deptest analyze].
+    A miss runs the full test cascade with no pair memo: the paper's
+    cheap exact tests settle most pairs faster than a memo lookup, and a
+    memo kept for the daemon's lifetime grows without bound. Responses
+    containing degraded verdicts are never cached. All verdict text
+    comes from {!Render}, so answers are byte-identical to the one-shot
+    [deptest analyze].
 
     Every request is additionally observed ({!Dt_obs.Reqtrace}): timed
     into the per-endpoint latency histogram, and — for analyze — entered
     into the slow-request ring ledger under its trace id, tagged with
-    the coarsest cache tier that answered it. When the sampler arms, the
+    the tier that answered it. When the sampler arms, the
     whole analysis runs under a request-scoped {!Dt_obs.Span} profiler
     whose capture (if retained by the latency threshold) the
     [trace-last] endpoint exports as a Chrome trace. The profiler is the
-    only difference between a traced and an untraced run — same memo
-    cache, same store — so answers stay byte-identical either way. *)
+    only difference between a traced and an untraced run — same store —
+    so answers stay byte-identical either way. *)
 
 type t
 
@@ -50,9 +50,9 @@ val create :
   unit ->
   t
 (** [jobs] is resolved through {!Dt_support.Pool.clamp_auto} (never
-    oversubscribe). [cache_dir] attaches the persistent response store,
-    keyed by the serve configuration's fingerprint; omitted means
-    in-memory only. [cache_capacity] bounds both tiers.
+    oversubscribe). [cache_dir] persists the response store there, keyed
+    by the serve configuration's fingerprint; omitted means in-memory
+    only. [cache_capacity] bounds the response store's resident entries.
 
     [sample_period] (default 1: every request) arms span capture on
     every n-th analyze, [0] never; [slow_threshold_ns] (default 0: keep
@@ -69,7 +69,7 @@ val create :
 val jobs : t -> int
 (** The clamped worker count actually in use. *)
 
-val store : t -> Dt_engine.Store.t option
+val store : t -> Dt_engine.Store.t
 
 val restarts : t -> int
 
@@ -105,11 +105,13 @@ val analyze_source : t -> string -> (string * int, string) result
 
 val warm : t -> ?suite:string -> unit -> int
 (** Pre-analyze the workload corpus ({!Dt_workloads.Corpus}, optionally
-    one suite) through the same caching path, so a fresh daemon answers
-    its first real requests warm. Returns the number of units warmed. *)
+    one suite) through the same caching path, so the response tier
+    answers those sources without analysis. Returns the number of units
+    warmed. *)
 
 val flush : t -> int
-(** Persist the response store; the number of entries on disk after. *)
+(** Persist the response store; the number of entries on disk after
+    ([0] without a cache directory). *)
 
 val handle : ?admission:admission -> t -> Protocol.request -> Dt_obs.Json.t
 (** Answer one request ([Shutdown] gets its [ok] response here too; the

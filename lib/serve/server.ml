@@ -278,11 +278,13 @@ let run ~socket ?(jobs = 0) ?cache_dir ?cache_capacity ?sample_period
         if !drained > 0 then
           log (Printf.sprintf "drained %d in-flight request(s)" !drained);
         List.iter close_quiet !clients;
-        (* clean shutdown: verdicts first, then the listening endpoint *)
+        (* clean shutdown: verdicts first, then the listening endpoint;
+           a store without a cache dir persists nothing *)
         let persisted = Engine.flush engine in
-        if persisted > 0 then
-          log (Printf.sprintf "flushed %d cache entr%s" persisted
-                 (if persisted = 1 then "y" else "ies"));
+        Option.iter
+          (fun dir ->
+            log (Printf.sprintf "flushed %d response(s) to %s" persisted dir))
+          (Dt_engine.Store.dir (Engine.store engine));
         (try Unix.unlink socket with Unix.Unix_error _ -> ());
         log "stopped";
         0

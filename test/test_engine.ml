@@ -152,12 +152,10 @@ let test_memo_basics () =
   check bool "hit after add" true (Dt_engine.Memo.find_opt m "k" = Some 42);
   check int "hits" 1 (Dt_engine.Memo.hits m);
   check int "misses" 1 (Dt_engine.Memo.misses m);
-  check (Alcotest.float 1e-9) "hit rate" 0.5 (Dt_engine.Memo.hit_rate m);
   check int "length" 1 (Dt_engine.Memo.length m);
-  Dt_engine.Memo.reset_stats m;
-  check int "stats reset, entries kept" 0
-    (Dt_engine.Memo.hits m + Dt_engine.Memo.misses m);
-  check int "entries kept" 1 (Dt_engine.Memo.length m)
+  Dt_engine.Memo.add m "k" 43;
+  check int "replace keeps one entry" 1 (Dt_engine.Memo.length m);
+  check bool "replace wins" true (Dt_engine.Memo.find_opt m "k" = Some 43)
 
 (* --- Key: structural canonicalization ---------------------------------- *)
 
@@ -399,11 +397,7 @@ let test_analyze_cache_hits () =
   let second = render_result cfg wavefront in
   check string "warm-cache rerun identical" first second;
   (match Deptest.Analyze.Config.cache_stats cfg with
-  | Some (hits, _) ->
-      check bool "second pass hit the cache" true (hits > 0);
-      (match Deptest.Analyze.Config.cache_hit_rate cfg with
-      | Some rate -> check bool "hit rate positive" true (rate > 0.0)
-      | None -> Alcotest.fail "hit rate should be available")
+  | Some (hits, _) -> check bool "second pass hit the cache" true (hits > 0)
   | None -> Alcotest.fail "cache stats should be available");
   check bool "cache-off config exposes no stats" true
     (Deptest.Analyze.Config.cache_stats

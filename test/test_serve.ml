@@ -224,7 +224,7 @@ let engine_output e source =
 
 let store_keys e =
   Store.fold
-    (Option.get (Dt_serve.Engine.store e))
+    (Dt_serve.Engine.store e)
     ~init:[] ~f:(fun acc k _ -> k :: acc)
 
 let test_disk_tier_parity () =
@@ -239,7 +239,7 @@ let test_disk_tier_parity () =
   (* restart: fresh memo, same directory — the answer comes from the
      response tier and renders identically *)
   let e2 = Dt_serve.Engine.create ~cache_dir:dir () in
-  let store2 = Option.get (Dt_serve.Engine.store e2) in
+  let store2 = Dt_serve.Engine.store e2 in
   check string "disk-warm = cold" baseline (engine_output e2 src);
   check int "answered from disk" 1 (Store.hits store2)
 
@@ -303,7 +303,7 @@ let test_injected_fault_never_persisted () =
   check string "restart after fault run = clean baseline" baseline
     (engine_output e2 src);
   check int "answered cold" 0
-    (Store.hits (Option.get (Dt_serve.Engine.store e2)))
+    (Store.hits (Dt_serve.Engine.store e2))
 
 (* --- protocol --------------------------------------------------------- *)
 
@@ -374,7 +374,7 @@ let test_engine_response_cache () =
       check string "engine = in-process" baseline out;
       check int "nothing degraded" 0 degraded
   | Error msg -> Alcotest.fail msg);
-  let store = Option.get (Dt_serve.Engine.store e) in
+  let store = Dt_serve.Engine.store e in
   let hits0 = Store.hits store in
   (match Dt_serve.Engine.analyze_source e src with
   | Ok (out, _) -> check string "second pass identical" baseline out
@@ -391,7 +391,7 @@ let test_engine_invalid_response_entry () =
   (match Dt_serve.Engine.analyze_source e src with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg);
-  let store = Option.get (Dt_serve.Engine.store e) in
+  let store = Dt_serve.Engine.store e in
   (* sabotage the response entry: the engine must fall back to cold
      analysis with identical output and count the damage *)
   let key = "r:" ^ Digest.to_hex (Digest.string src) in
@@ -406,6 +406,59 @@ let test_engine_invalid_response_entry () =
   check string "third request identical" baseline (engine_output e src);
   check int "third request hit the response tier" (hits0 + 1)
     (Store.hits store)
+
+(* the daemon runs without a pair memo: its metrics' memo counters stay
+   at zero however many distinct nests it answers *)
+let test_engine_no_pair_memo () =
+  let e = Dt_serve.Engine.create () in
+  let sources =
+    List.filteri (fun i _ -> i < 12) Dt_workloads.Corpus.all
+    |> List.map (fun (c : Dt_workloads.Corpus.entry) -> c.source)
+  in
+  List.iter (fun source -> ignore (engine_output e source)) sources;
+  let m = Dt_serve.Engine.handle e (Dt_serve.Protocol.Metrics { prometheus = false }) in
+  let cache field =
+    Option.bind (Json.member "metrics" m) (fun j ->
+        Option.bind (Json.member "cache" j) (fun c ->
+            Option.bind (Json.member field c) Json.to_int))
+  in
+  check (Alcotest.option int) "no memo hits" (Some 0) (cache "hits");
+  check (Alcotest.option int) "no memo misses" (Some 0) (cache "misses");
+  check (Alcotest.option int) "no memo entries" (Some 0) (cache "size")
+
+(* without a cache dir the response store lives in memory: a repeated
+   source is answered from it, byte-identical, and tagged as such *)
+let test_engine_memory_response_tier () =
+  let e = Dt_serve.Engine.create () in
+  let analyze () =
+    match
+      Json.member "output"
+        (Dt_serve.Engine.handle e
+           (Dt_serve.Protocol.Analyze
+              { source = src; id = None; trace_id = None; deadline_ms = None }))
+    with
+    | Some (Json.String out) -> out
+    | _ -> Alcotest.fail "analyze returned no output"
+  in
+  let first = analyze () in
+  let second = analyze () in
+  check string "cold = in-process" (in_process_output ()) first;
+  check string "repeat byte-identical" first second;
+  (match
+     Json.member "entries"
+       (Dt_serve.Engine.handle e (Dt_serve.Protocol.Slow { n = Some 1 }))
+   with
+  | Some (Json.List [ entry ]) ->
+      check bool "repeat answered by the response tier" true
+        (Json.member "tier" entry = Some (Json.String "response"))
+  | _ -> Alcotest.fail "slow ledger lost the repeat");
+  let m = Dt_serve.Engine.handle e (Dt_serve.Protocol.Metrics { prometheus = false }) in
+  check (Alcotest.option int) "one response hit" (Some 1)
+    (Option.bind (Json.member "serve" m) (fun j ->
+         Option.bind (Json.member "response_hits" j) Json.to_int));
+  check bool "no cache dir, nothing on disk" true
+    (Store.dir (Dt_serve.Engine.store e) = None);
+  check int "flush persists nothing" 0 (Dt_serve.Engine.flush e)
 
 (* --- clamp ------------------------------------------------------------ *)
 
@@ -620,7 +673,7 @@ let test_slow_ledger_end_to_end () =
       check bool "entry has a tier" true
         (match Json.member "tier" e with
         | Some (Json.String t) ->
-            List.mem t [ "response"; "memo"; "cold"; "none" ]
+            List.mem t [ "response"; "cold"; "none" ]
         | _ -> false);
       check bool "entry was captured" true
         (Json.member "captured" e = Some (Json.Bool true))
@@ -714,6 +767,10 @@ let suite =
     ( "engine invalid response entry",
       `Quick,
       test_engine_invalid_response_entry );
+    ("engine runs without a pair memo", `Quick, test_engine_no_pair_memo);
+    ( "engine response tier without a cache dir",
+      `Quick,
+      test_engine_memory_response_tier );
     ("jobs clamp", `Quick, test_clamp_auto);
     ("server end-to-end", `Quick, test_server_end_to_end);
     ("tracing byte parity", `Quick, test_tracing_byte_parity);
